@@ -1,18 +1,22 @@
-//! Ablation: deterministic parallel candidate scoring vs thread count.
+//! Ablation: the deterministic parallel fan-outs vs thread count.
 //!
-//! Runs the Figure 7 workload (Efficient-IQ Min-Cost on the Independent
-//! synthetic dataset) with the `iq_core::exec` thread pool pinned to 1, 2,
-//! 4, and 8 workers. The search returns a byte-identical `IqReport` at
-//! every thread count (asserted here, property-tested in
-//! `crates/core/tests/proptests.rs`); only wall-clock time may change.
-//! Measured numbers live in EXPERIMENTS.md next to `ablation_ese` —
+//! Times the two phases that still fan out across the `iq_core::exec`
+//! pool — subdomain index construction (`QueryIndex::build_with`) and ESE
+//! context construction (`EvalContext::new_with`) — on the Figure 7
+//! workload (Independent objects, Uniform queries), with the pool pinned to
+//! 1, 2, 4, and 8 workers. Each phase is asserted byte-identical across
+//! thread counts before anything is timed. Candidate scoring is no longer
+//! a fan-out: the bound-pruned search scores a handful of candidates per
+//! step, one at a time. Measured numbers live in EXPERIMENTS.md —
 //! speedups only materialise on multi-core hosts, so the recorded
 //! environment matters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use iq_bench::harness::{build_instance, run_one_min_cost, Scheme};
-use iq_core::{ExecPolicy, QueryIndex, SearchOptions};
+use iq_bench::harness::build_instance;
+use iq_core::{EvalContext, ExecPolicy, QueryIndex};
 use iq_workload::{Distribution, QueryDistribution};
+
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_parallel");
@@ -28,35 +32,29 @@ fn bench(c: &mut Criterion) {
             7,
         );
         let target = 0;
-        let tau = (inst.hit_count_naive(target) + 8).min(inst.num_queries());
-        let reference = {
-            let opts = SearchOptions {
-                candidate_cap: Some(32),
-                exec: ExecPolicy::sequential(),
-                ..SearchOptions::default()
-            };
-            let index = QueryIndex::build_with(&inst, &opts.exec);
-            run_one_min_cost(&inst, &index, Scheme::EfficientIq, target, tau, &opts, 70)
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let opts = SearchOptions {
-                candidate_cap: Some(32),
-                exec: ExecPolicy::with_threads(threads),
-                ..SearchOptions::default()
-            };
-            let index = QueryIndex::build_with(&inst, &opts.exec);
-            let r = run_one_min_cost(&inst, &index, Scheme::EfficientIq, target, tau, &opts, 70);
-            assert_eq!(r.cost.to_bits(), reference.cost.to_bits());
-            assert_eq!(r.hits_after, reference.hits_after);
-            assert_eq!(r.candidates_evaluated, reference.candidates_evaluated);
+        let reference = QueryIndex::build_with(&inst, &ExecPolicy::sequential());
+        let ref_ctx = EvalContext::new_with(&inst, &reference, target, &ExecPolicy::sequential());
+        for threads in THREADS {
+            let exec = ExecPolicy::with_threads(threads);
+            let index = QueryIndex::build_with(&inst, &exec);
+            let ctx = EvalContext::new_with(&inst, &index, target, &exec);
+            for q in 0..inst.num_queries() {
+                assert_eq!(index.toplist_of(q), reference.toplist_of(q));
+                assert_eq!(index.subdomain_of(q), reference.subdomain_of(q));
+                assert_eq!(
+                    ctx.threshold(q).map(|(o, s)| (o, s.to_bits())),
+                    ref_ctx.threshold(q).map(|(o, s)| (o, s.to_bits()))
+                );
+            }
             group.bench_with_input(
-                BenchmarkId::new(format!("threads={threads}"), format!("{n}x{m}")),
+                BenchmarkId::new(format!("index_build/threads={threads}"), format!("{n}x{m}")),
+                &inst,
+                |b, inst| b.iter(|| QueryIndex::build_with(inst, &exec)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("ese_context/threads={threads}"), format!("{n}x{m}")),
                 &(&inst, &index),
-                |b, (inst, index)| {
-                    b.iter(|| {
-                        run_one_min_cost(inst, index, Scheme::EfficientIq, target, tau, &opts, 70)
-                    })
-                },
+                |b, (inst, index)| b.iter(|| EvalContext::new_with(inst, index, target, &exec)),
             );
         }
     }

@@ -12,10 +12,7 @@ use rand::SeedableRng;
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_processing_real");
     group.sample_size(10);
-    let opts = SearchOptions {
-        candidate_cap: Some(32),
-        ..SearchOptions::default()
-    };
+    let opts = SearchOptions::default();
     let mut rng = StdRng::seed_from_u64(12);
     let datasets = vec![
         ("VEHICLE", real::vehicle_scaled(500, &mut rng)),

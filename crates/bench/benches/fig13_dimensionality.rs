@@ -10,10 +10,7 @@ use iq_workload::{Distribution, QueryDistribution};
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_dimensionality");
     group.sample_size(10);
-    let opts = SearchOptions {
-        candidate_cap: Some(32),
-        ..SearchOptions::default()
-    };
+    let opts = SearchOptions::default();
     for d in 1..=5usize {
         let inst = build_instance(
             Distribution::Independent,

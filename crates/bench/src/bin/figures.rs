@@ -93,16 +93,6 @@ fn main() {
     }
 }
 
-/// A uniform candidate cap keeps the slow comparator evaluators tractable
-/// at scaled |Q| without changing any scheme's relative standing (see
-/// EXPERIMENTS.md, "methodology deviations").
-fn processing_opts() -> SearchOptions {
-    SearchOptions {
-        candidate_cap: Some(64),
-        ..SearchOptions::default()
-    }
-}
-
 fn fig4(s: &Settings, rec: &mut Recorder) {
     println!("== Figure 4: indexing cost vs number of objects (linear utilities) ==");
     println!(
@@ -299,7 +289,7 @@ fn print_processing_row(
     seed: u64,
     rec: &mut Recorder,
 ) {
-    let opts = processing_opts();
+    let opts = SearchOptions::default();
     let mut times = Vec::new();
     let mut ratios = Vec::new();
     for scheme in Scheme::ALL {
@@ -413,7 +403,13 @@ fn fig13(s: &Settings, rec: &mut Recorder) {
             s.k_max,
             130 + d as u64,
         );
-        let m = measure_processing(&inst, Scheme::EfficientIq, s, &processing_opts(), 131);
+        let m = measure_processing(
+            &inst,
+            Scheme::EfficientIq,
+            s,
+            &SearchOptions::default(),
+            131,
+        );
         println!(
             "{:>8} | {:>14.1} | {:>14.4}",
             d, m.avg_time_ms, m.avg_cost_per_hit

@@ -90,6 +90,14 @@ impl HitEvaluator for RtaEvaluator<'_> {
         Some(thresh - ts - strict_eps(thresh))
     }
 
+    fn reach_rhs(&self, q: usize) -> Option<f64> {
+        let (_, thresh) = self.thresh[q]?;
+        let ts = self
+            .objects
+            .dot_row(self.target, &self.instance.queries()[q].weights);
+        Some(thresh - ts + strict_eps(thresh))
+    }
+
     fn evaluate(&mut self, s: &ImprovementStrategy) -> usize {
         // Temporarily improve the private copy, run RTA, restore.
         let saved = self.objects.row(self.target).to_vec();

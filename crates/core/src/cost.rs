@@ -201,9 +201,29 @@ pub trait CostFunction: Send + Sync {
         bounds: &StrategyBounds,
     ) -> Option<(Vector, f64)>;
 
+    /// A certified lower bound on the cost of every valid strategy with
+    /// `a · s ≤ rhs` under `bounds`: the greedy search prunes candidate
+    /// scoring with it, so it must never exceed the true minimum. The
+    /// default, `-∞`, bounds nothing and keeps the search exhaustive.
+    fn min_cost_lower_bound(&self, _a: &[f64], _rhs: f64, _bounds: &StrategyBounds) -> f64 {
+        f64::NEG_INFINITY
+    }
+
     /// A short human-readable name for logs and the DBMS layer.
     fn name(&self) -> &'static str {
         "custom"
+    }
+}
+
+/// `need / norm`, the least `‖s‖` that lowers `a · s` by `need` when
+/// `|a · s| ≤ norm · ‖s‖` (Cauchy–Schwarz or Hölder for the dual norm);
+/// infinite when `a` cannot lower anything.
+fn drop_lower_bound(rhs: f64, norm: f64) -> f64 {
+    let need = -rhs;
+    if need > 0.0 {
+        need / norm
+    } else {
+        0.0
     }
 }
 
@@ -239,6 +259,12 @@ impl CostFunction for EuclideanCost {
             }
             QpResult::Infeasible => None,
         }
+    }
+
+    /// `max(0, −rhs) / ‖a‖₂`, valid under any box: a box only raises the
+    /// minimum.
+    fn min_cost_lower_bound(&self, a: &[f64], rhs: f64, _bounds: &StrategyBounds) -> f64 {
+        drop_lower_bound(rhs, dot(a, a).sqrt())
     }
 
     fn name(&self) -> &'static str {
@@ -339,6 +365,11 @@ impl CostFunction for L1Cost {
         bounds: &StrategyBounds,
     ) -> Option<(Vector, f64)> {
         linear_cost_lp(a, rhs, bounds, &vec![1.0; a.len()], &vec![1.0; a.len()])
+    }
+
+    /// `max(0, −rhs) / ‖a‖∞`, valid under any box.
+    fn min_cost_lower_bound(&self, a: &[f64], rhs: f64, _bounds: &StrategyBounds) -> f64 {
+        drop_lower_bound(rhs, a.iter().fold(0.0, |m, x| m.max(x.abs())))
     }
 
     fn name(&self) -> &'static str {

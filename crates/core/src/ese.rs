@@ -190,6 +190,16 @@ impl<'a> EvalContext<'a> {
         Some(thresh_score - ts - strict_eps(thresh_score))
     }
 
+    /// [`Self::required_rhs`] widened by twice its safety epsilon: every
+    /// additional strategy `s` under which query `q` is hit satisfies
+    /// `w_q · s ≤` this value, with room to spare for f64 rounding. `None`
+    /// when the query is trivially hit.
+    pub fn reach_rhs(&self, cursor: &EvalCursor, q: usize) -> Option<f64> {
+        let (_, thresh_score) = self.thresh[q]?;
+        let ts = self.current_score(cursor, q);
+        Some(thresh_score - ts + strict_eps(thresh_score))
+    }
+
     /// The improved target's current score under query `q`.
     pub fn current_score(&self, cursor: &EvalCursor, q: usize) -> f64 {
         self.instance
@@ -477,6 +487,11 @@ impl<'a> TargetEvaluator<'a> {
     /// See [`EvalContext::required_rhs`].
     pub fn required_rhs(&self, q: usize) -> Option<f64> {
         self.ctx.required_rhs(&self.cursor, q)
+    }
+
+    /// See [`EvalContext::reach_rhs`].
+    pub fn reach_rhs(&self, q: usize) -> Option<f64> {
+        self.ctx.reach_rhs(&self.cursor, q)
     }
 
     /// The improved target's current score under query `q`.

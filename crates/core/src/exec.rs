@@ -1,15 +1,15 @@
 //! Deterministic parallel execution for the evaluation/search core.
 //!
 //! Everything in this crate that fans out across threads — subdomain
-//! signature computation ([`crate::subdomain::QueryIndex::build_with`]),
-//! evaluation-context construction
-//! ([`crate::ese::EvalContext::new_with`]), and greedy candidate scoring
-//! ([`crate::search`]) — routes through [`ExecPolicy::map`], which
-//! guarantees **output order equals input order regardless of thread
-//! count**. Combined with the read-only shared state / per-thread scratch
-//! split (see [`crate::ese::EvalContext`] / [`crate::ese::EvalCursor`]),
-//! this makes every search result byte-identical at any `IQ_THREADS`
-//! setting: parallelism changes wall-clock time, never answers.
+//! signature computation ([`crate::subdomain::QueryIndex::build_with`])
+//! and evaluation-context construction
+//! ([`crate::ese::EvalContext::new_with`]) — routes through
+//! [`ExecPolicy::map`], which guarantees **output order equals input
+//! order regardless of thread count**. Combined with the read-only
+//! shared state / per-thread scratch split (see
+//! [`crate::ese::EvalContext`] / [`crate::ese::EvalCursor`]), this
+//! makes every search result byte-identical at any `IQ_THREADS` setting:
+//! parallelism changes wall-clock time, never answers.
 //!
 //! The pool is `std::thread::scope`-based — no dependencies, no global
 //! state, threads live only for the duration of one `map` call. Work is

@@ -46,5 +46,5 @@ pub use cost::{
 pub use ese::{EvalContext, EvalCursor, TargetEvaluator};
 pub use exec::ExecPolicy;
 pub use model::{ImprovementStrategy, Instance, ModelError, TopKQuery};
-pub use search::{max_hit_iq, min_cost_iq, CandidateScorer, HitEvaluator, IqReport, SearchOptions};
+pub use search::{max_hit_iq, min_cost_iq, HitEvaluator, IqReport, SearchOptions};
 pub use subdomain::QueryIndex;

@@ -4,30 +4,26 @@
 //! Both algorithms iterate the same candidate-generation step: for every
 //! query the target does not yet hit, solve the single-constraint
 //! subproblem (Eqs. 13–14) for the cheapest strategy hitting *that* query,
-//! score each candidate with ESE, and commit the candidate with the best
+//! score the candidates with ESE, and commit the candidate with the best
 //! cost-per-hit ratio. Min-Cost stops at `τ` hits; Max-Hit stops when the
 //! budget `β` is exhausted (with a final fill pass over the remaining
 //! affordable candidates, Algorithm 4 lines 13–17).
 //!
-//! ## Deterministic parallel candidate scoring
+//! ## Bound-pruned candidate scoring
 //!
-//! Scoring the candidate set is each iteration's hot loop, and every
-//! candidate is scored against the *same* pre-commit state — it is
-//! embarrassingly parallel. Evaluators whose scoring path is read-only
-//! (ESE: [`crate::ese::EvalContext`] + a frozen [`crate::ese::EvalCursor`])
-//! expose it via [`HitEvaluator::scorer`], and the search fans the
-//! candidate set out across [`SearchOptions::exec`] threads. Results come
-//! back **in candidate order** ([`crate::exec::ExecPolicy::map`]) and the
-//! committed winner is chosen by the same first-strictly-better rule, so
-//! reports are byte-identical at any thread count. Evaluators that need
-//! `&mut self` to score (RTA's temporary object mutation) simply return
-//! `None` and keep the sequential path — same candidates, same counters.
-//!
-//! Each score bottoms out in the flat evaluation core (DESIGN.md §9): the
-//! ESE path re-scores slab hits through [`iq_geometry::FlatMatrix`] row
-//! kernels over arena-sealed R-trees, bit-identical to the scalar path,
-//! so the parallel fan-out and the kernel rewiring compose without
-//! touching expected outputs.
+//! Scoring is each iteration's hot loop, but a step only needs the scores
+//! that can change what it does. Every candidate gets a certified upper
+//! bound on its hit count before any ESE call: with `c_q` a lower bound on
+//! the cost of hitting unhit query `q` ([`CostFunction::min_cost_lower_bound`]
+//! on [`HitEvaluator::reach_rhs`]), a candidate of cost `c` hits at most
+//! `H + #{unhit q : c_q ≤ c}` queries. That bounds its ratio from below,
+//! and candidates are scored in ascending bound order until no unscored
+//! one can beat — or, once the best candidate ends the search (Min-Cost
+//! overshoot, Max-Hit budget), until none can turn it into a commit. Ties
+//! are broken by candidate index, so the pick is the exhaustive scan's
+//! first strictly best ratio and every [`IqReport`] is bit-identical to
+//! scoring every candidate (property-tested against an exhaustive oracle
+//! in `crates/core/tests/proptests.rs`, for ESE and RTA evaluators alike).
 
 use crate::cost::{CostFunction, StrategyBounds};
 use crate::ese::TargetEvaluator;
@@ -44,18 +40,9 @@ pub struct SearchOptions {
     /// Stop after this many consecutive iterations without a hit-count
     /// improvement (the local-optimum escape hatch the paper acknowledges).
     pub max_stalls: usize,
-    /// When set, only the `cap` cheapest per-query candidates are scored
-    /// with a full `H(p + s)` evaluation each iteration (the subproblem
-    /// solutions themselves are still computed for every unhit query —
-    /// they are closed-form and cheap). `None` is the literal Algorithm
-    /// 3/4 behaviour; benchmarks set a uniform cap so the slow comparator
-    /// evaluators stay tractable at large `|Q|` without changing the
-    /// relative comparison.
-    pub candidate_cap: Option<usize>,
-    /// Thread policy for candidate scoring (and, via the library entry
-    /// points, evaluator construction). Results are independent of the
-    /// thread count — see the module docs. Defaults to `IQ_THREADS` /
-    /// available parallelism.
+    /// Thread policy for evaluator construction in the library entry
+    /// points. Results are independent of the thread count. Defaults to
+    /// `IQ_THREADS` / available parallelism.
     pub exec: ExecPolicy,
 }
 
@@ -64,7 +51,6 @@ impl Default for SearchOptions {
         SearchOptions {
             max_iterations: 10_000,
             max_stalls: 3,
-            candidate_cap: None,
             exec: ExecPolicy::from_env(),
         }
     }
@@ -83,7 +69,9 @@ pub struct IqReport {
     pub hits_after: usize,
     /// Greedy iterations executed.
     pub iterations: usize,
-    /// Candidate strategies evaluated with ESE (work metric).
+    /// Candidate strategies generated: one per solved subproblem per
+    /// iteration (work metric). Only some of them are scored with ESE;
+    /// the rest are pruned by their hit bounds.
     pub candidates_evaluated: usize,
     /// Whether the improvement goal was met (`≥ τ` hits, or budget-bounded
     /// maximisation completed).
@@ -117,27 +105,19 @@ pub trait HitEvaluator {
     /// Right-hand side of the hit condition `w_q · s ≤ rhs` for query `q`,
     /// or `None` when trivially hit.
     fn required_rhs(&self, q: usize) -> Option<f64>;
+    /// A permissive right-hand side for query `q`: every `s` under which
+    /// `q` is hit satisfies `w_q · s ≤ reach_rhs(q)`, f64 rounding
+    /// included. The search derives its certified hit bounds from it. The
+    /// default `None` counts `q` as reachable by any candidate.
+    fn reach_rhs(&self, _q: usize) -> Option<f64> {
+        None
+    }
     /// `H(p + applied + s)` without committing.
     fn evaluate(&mut self, s: &ImprovementStrategy) -> usize;
     /// Commits `s` on top of the already-applied strategy.
     fn apply(&mut self, s: &ImprovementStrategy);
     /// The cumulative committed strategy.
     fn applied(&self) -> &ImprovementStrategy;
-    /// A thread-safe view for scoring candidates against the *current*
-    /// (pre-commit) state, when the evaluator supports one. `Some` opts
-    /// the evaluator into parallel candidate scoring; the default `None`
-    /// keeps the sequential `evaluate` path (required by evaluators whose
-    /// scoring mutates internal buffers, like RTA's).
-    fn scorer(&self) -> Option<&dyn CandidateScorer> {
-        None
-    }
-}
-
-/// Read-only candidate scoring: `H(p + applied + s)` from `&self`, safe to
-/// call from many threads at once. See [`HitEvaluator::scorer`].
-pub trait CandidateScorer: Sync {
-    /// `H(p + applied + s)` without committing.
-    fn score(&self, s: &ImprovementStrategy) -> usize;
 }
 
 impl HitEvaluator for TargetEvaluator<'_> {
@@ -153,6 +133,9 @@ impl HitEvaluator for TargetEvaluator<'_> {
     fn required_rhs(&self, q: usize) -> Option<f64> {
         TargetEvaluator::required_rhs(self, q)
     }
+    fn reach_rhs(&self, q: usize) -> Option<f64> {
+        TargetEvaluator::reach_rhs(self, q)
+    }
     fn evaluate(&mut self, s: &ImprovementStrategy) -> usize {
         TargetEvaluator::evaluate(self, s)
     }
@@ -162,102 +145,187 @@ impl HitEvaluator for TargetEvaluator<'_> {
     fn applied(&self) -> &ImprovementStrategy {
         TargetEvaluator::applied(self)
     }
-    fn scorer(&self) -> Option<&dyn CandidateScorer> {
-        Some(self)
-    }
-}
-
-impl CandidateScorer for TargetEvaluator<'_> {
-    fn score(&self, s: &ImprovementStrategy) -> usize {
-        // Fast ESE is `&self` against the shared EvalContext + the frozen
-        // cursor: concurrent calls are safe and bit-identical.
-        TargetEvaluator::evaluate(self, s)
-    }
 }
 
 struct Candidate {
     query: usize,
     strategy: Vector,
     cost_inc: f64,
-    hits_after: usize,
+    /// Certified upper bound on `H(p + applied + strategy)`.
+    hit_bound: usize,
+    /// `H(p + applied + strategy)`, once scored.
+    hits: Option<usize>,
 }
 
 /// Generates the candidate set `S` of one greedy iteration: per unhit
-/// query, the cheapest strategy that hits it, scored with the evaluator.
-/// With `candidate_cap` set, only the cheapest `cap` subproblem solutions
-/// receive a hit-count evaluation.
+/// query, the cheapest strategy that hits it, with its hit bound. Nothing
+/// is scored yet.
 fn candidates<E: HitEvaluator>(
-    ev: &mut E,
+    ev: &E,
     cost_fn: &dyn CostFunction,
     rem_bounds: &StrategyBounds,
-    opts: &SearchOptions,
-    evaluated: &mut usize,
 ) -> Vec<Candidate> {
-    let m = ev.instance().num_queries();
-    let mut solved: Vec<(usize, Vector, f64)> = Vec::new();
-    for q in 0..m {
+    let mut cands = Vec::new();
+    // Per unhit query, a lower bound on the cost of any strategy hitting
+    // it; rhs-less and unsolvable queries count as reachable at any cost.
+    let mut reach_costs = Vec::new();
+    for (q, query) in ev.instance().queries().iter().enumerate() {
         if ev.is_hit(q) {
             continue;
         }
-        let Some(rhs) = ev.required_rhs(q) else {
-            continue;
-        };
-        let weights = ev.instance().queries()[q].weights.clone();
-        let Some((s, c)) = cost_fn.min_cost_to_satisfy(&weights, rhs, rem_bounds) else {
-            continue;
-        };
-        solved.push((q, s, c));
-    }
-    if let Some(cap) = opts.candidate_cap {
-        if solved.len() > cap {
-            solved.sort_by(|a, b| a.2.total_cmp(&b.2));
-            solved.truncate(cap);
+        let mut reach_cost = f64::NEG_INFINITY;
+        if let Some(rhs) = ev.required_rhs(q) {
+            if let Some((strategy, cost_inc)) =
+                cost_fn.min_cost_to_satisfy(&query.weights, rhs, rem_bounds)
+            {
+                cands.push(Candidate {
+                    query: q,
+                    strategy,
+                    cost_inc,
+                    hit_bound: 0,
+                    hits: None,
+                });
+                if let Some(reach) = ev.reach_rhs(q) {
+                    let lb = cost_fn.min_cost_lower_bound(&query.weights, reach, rem_bounds);
+                    if !lb.is_nan() {
+                        reach_cost = lb;
+                    }
+                }
+            }
         }
+        reach_costs.push(reach_cost);
     }
-    // Count work before scoring so the metric is identical under the
-    // parallel and sequential paths (one evaluation per candidate, always).
-    *evaluated += solved.len();
-    let hits = score_all(ev, &solved, &opts.exec);
-    solved
-        .into_iter()
-        .zip(hits)
-        .map(|((query, strategy, cost_inc), hits_after)| Candidate {
-            query,
-            strategy,
-            cost_inc,
-            hits_after,
-        })
-        .collect()
+    reach_costs.sort_by(f64::total_cmp);
+    let hits = ev.hit_count();
+    for c in &mut cands {
+        // Unhit queries whose cost bound does not exceed `c`; a NaN cost
+        // proves nothing, so it counts every query.
+        c.hit_bound = hits
+            + if c.cost_inc.is_nan() {
+                reach_costs.len()
+            } else {
+                reach_costs.partition_point(|&lb| lb <= c.cost_inc)
+            };
+    }
+    cands
 }
 
-/// Scores every solved candidate, in order. Fans out across
-/// `exec` threads when the evaluator exposes a read-only scorer;
-/// otherwise scores sequentially through `&mut` evaluate. Both paths
-/// return hit counts positionally aligned with `solved`.
-fn score_all<E: HitEvaluator>(
+/// Cost-per-hit as the greedy rule ranks it: infinite when nothing is hit.
+fn ratio(cost: f64, hits: usize) -> f64 {
+    if hits == 0 {
+        f64::INFINITY
+    } else {
+        cost / hits as f64
+    }
+}
+
+/// A lower bound on `ratio(cost, h)` over `h ≤ max_hits`: `cost / max_hits`
+/// for a non-negative cost, and `cost` itself (`h = 1`) for a negative one.
+fn ratio_floor(cost: f64, max_hits: usize) -> f64 {
+    if cost < 0.0 {
+        cost
+    } else {
+        ratio(cost, max_hits)
+    }
+}
+
+/// `H(p + applied + s)` for one candidate, evaluated at most once per step.
+fn score<E: HitEvaluator>(ev: &mut E, c: &mut Candidate) -> usize {
+    if let Some(h) = c.hits {
+        return h;
+    }
+    let h = ev.evaluate(&c.strategy);
+    // A hit count above the bound means a cost function's
+    // `min_cost_lower_bound` is not a lower bound, and the pruning that
+    // relies on it is unsound.
+    #[cfg(feature = "debug-invariants")]
+    assert!(
+        h <= c.hit_bound,
+        "debug-invariants: candidate for query {} hits {h} queries, above its \
+         certified bound {}",
+        c.query,
+        c.hit_bound,
+    );
+    c.hits = Some(h);
+    h
+}
+
+/// What one greedy step does with its best-ratio candidate.
+enum Step {
+    /// Commit candidate `i` and keep iterating.
+    Commit(usize),
+    /// The best candidate ends the search: Min-Cost overshoots `τ`, or
+    /// Max-Hit's budget cannot cover it.
+    Finish,
+}
+
+/// Finds the step's best cost-per-hit candidate — the first strictly
+/// lowest ratio in candidate order, exactly as scoring every candidate
+/// would — while scoring as few candidates as the bounds allow.
+///
+/// `ends(c, hits)` says whether `c` as the best candidate ends the search.
+/// While the current best ends it, only a candidate that could become a
+/// best that does not matters; `commit_hits(c)` bounds the hits `c` can
+/// have as such a best (`None` when it always ends the search).
+fn pick<E: HitEvaluator>(
     ev: &mut E,
-    solved: &[(usize, Vector, f64)],
-    exec: &ExecPolicy,
-) -> Vec<usize> {
-    if let Some(scorer) = ev.scorer() {
-        return exec.map(solved, |_, (_, s, _)| scorer.score(s));
-    }
-    solved.iter().map(|(_, s, _)| ev.evaluate(s)).collect()
-}
+    cands: &mut [Candidate],
+    ends: impl Fn(&Candidate, usize) -> bool,
+    commit_hits: impl Fn(&Candidate) -> Option<usize>,
+) -> Option<Step> {
+    // A NaN cost breaks the ordering the bounds rely on: then every
+    // candidate is scored, in candidate order.
+    let exact = cands.iter().all(|c| !c.cost_inc.is_nan());
+    let floor = |c: &Candidate, max_hits: Option<usize>| match max_hits {
+        _ if !exact => f64::NEG_INFINITY,
+        Some(h) => ratio_floor(c.cost_inc, h),
+        None => f64::INFINITY,
+    };
+    let any_floor: Vec<f64> = cands.iter().map(|c| floor(c, Some(c.hit_bound))).collect();
+    let commit_floor: Vec<f64> = cands.iter().map(|c| floor(c, commit_hits(c))).collect();
+    let mut order: Vec<usize> = (0..cands.len()).collect();
+    // Stable: equal floors keep candidate order.
+    order.sort_by(|&a, &b| any_floor[a].total_cmp(&any_floor[b]));
 
-fn best_ratio(cands: &[Candidate]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, c) in cands.iter().enumerate() {
-        let ratio = if c.hits_after == 0 {
-            f64::INFINITY
-        } else {
-            c.cost_inc / c.hits_after as f64
-        };
-        if best.is_none_or(|(_, b)| ratio < b) {
-            best = Some((i, ratio));
+    let mut best_ends = false;
+    // First position passed over while the best ended the search; those
+    // candidates matter again once a best that commits turns up.
+    let mut skipped_from: Option<usize> = None;
+    let mut pos = 0;
+    while let Some(&i) = order.get(pos) {
+        pos += 1;
+        let best_ratio = best.map_or(f64::INFINITY, |(_, r)| r);
+        if best.is_some() && any_floor[i] > best_ratio {
+            break;
+        }
+        if cands[i].hits.is_some() {
+            continue;
+        }
+        if best_ends && commit_floor[i] > best_ratio {
+            skipped_from.get_or_insert(pos - 1);
+            continue;
+        }
+        let h = score(ev, &mut cands[i]);
+        let r = ratio(cands[i].cost_inc, h);
+        if best.is_none_or(|(b, br)| r < br || (r == br && i < b)) {
+            best = Some((i, r));
+            let ended = best_ends;
+            best_ends = ends(&cands[i], h);
+            if ended && !best_ends {
+                if let Some(from) = skipped_from.take() {
+                    pos = from;
+                }
+            }
         }
     }
-    best.map(|(i, _)| i)
+    best.map(|(i, _)| {
+        if best_ends {
+            Step::Finish
+        } else {
+            Step::Commit(i)
+        }
+    })
 }
 
 /// **Algorithm 3** — Min-Cost IQ: the cheapest strategy making the target
@@ -291,35 +359,43 @@ pub fn run_min_cost<E: HitEvaluator>(
     while ev.hit_count() < tau && iterations < opts.max_iterations {
         iterations += 1;
         let rem = bounds.remaining(ev.applied());
-        let cands = candidates(ev, cost_fn, &rem, opts, &mut evaluated);
-        let Some(best) = best_ratio(&cands) else {
-            break; // no query can be hit within the remaining bounds
-        };
-        if cands[best].hits_after <= tau {
-            // Apply the best-ratio candidate and keep iterating
-            // (Algorithm 3 lines 10–11).
-            let before = ev.hit_count();
-            let s = cands[best].strategy.clone();
-            ev.apply(&s);
-            if ev.hit_count() <= before {
-                stalls += 1;
-                if stalls >= opts.max_stalls {
-                    break;
+        let mut cands = candidates(ev, cost_fn, &rem);
+        evaluated += cands.len();
+        // A best that commits hits at most τ (Algorithm 3 line 10).
+        let step = pick(
+            ev,
+            &mut cands,
+            |_, hits| hits > tau,
+            |c| Some(c.hit_bound.min(tau)),
+        );
+        match step {
+            None => break, // no query can be hit within the remaining bounds
+            Some(Step::Commit(best)) => {
+                // Apply the best-ratio candidate and keep iterating
+                // (Algorithm 3 lines 10–11).
+                let before = ev.hit_count();
+                ev.apply(&cands[best].strategy);
+                if ev.hit_count() <= before {
+                    stalls += 1;
+                    if stalls >= opts.max_stalls {
+                        break;
+                    }
+                } else {
+                    stalls = 0;
                 }
-            } else {
-                stalls = 0;
             }
-        } else {
-            // Overshoot: take the cheapest candidate that reaches τ
-            // (Algorithm 3 line 13) and stop.
-            let winner = cands
-                .iter()
-                .filter(|c| c.hits_after >= tau)
-                .min_by(|a, b| a.cost_inc.total_cmp(&b.cost_inc))
-                .expect("best candidate exceeds tau, so the filter is non-empty");
-            let s = winner.strategy.clone();
-            ev.apply(&s);
-            break;
+            Some(Step::Finish) => {
+                // Overshoot: take the cheapest candidate that reaches τ
+                // (Algorithm 3 line 13) and stop.
+                let mut by_cost: Vec<usize> = (0..cands.len()).collect();
+                by_cost.sort_by(|&a, &b| cands[a].cost_inc.total_cmp(&cands[b].cost_inc));
+                let winner = by_cost
+                    .into_iter()
+                    .find(|&i| cands[i].hit_bound >= tau && score(ev, &mut cands[i]) >= tau)
+                    .expect("the best candidate exceeds tau, so one reaches it");
+                ev.apply(&cands[winner].strategy);
+                break;
+            }
         }
     }
 
@@ -368,34 +444,43 @@ pub fn run_max_hit<E: HitEvaluator>(
     while spent < budget && iterations < opts.max_iterations {
         iterations += 1;
         let rem = bounds.remaining(ev.applied());
-        let mut cands = candidates(ev, cost_fn, &rem, opts, &mut evaluated);
-        let Some(best) = best_ratio(&cands) else {
-            break;
-        };
-        if spent + cands[best].cost_inc <= budget {
-            let before = ev.hit_count();
-            let s = cands[best].strategy.clone();
-            spent += cands[best].cost_inc;
-            ev.apply(&s);
-            if ev.hit_count() <= before {
-                stalls += 1;
-                if stalls >= opts.max_stalls {
-                    break;
-                }
-            } else {
-                stalls = 0;
-            }
-        } else {
-            // Budget cannot cover the best candidate: final fill pass over
-            // the rest, cheapest first (Algorithm 4 lines 13–17).
-            cands.sort_by(|a, b| a.cost_inc.total_cmp(&b.cost_inc));
-            for c in cands {
-                if spent + c.cost_inc <= budget && !ev.is_hit(c.query) {
-                    spent += c.cost_inc;
-                    ev.apply(&c.strategy);
+        let mut cands = candidates(ev, cost_fn, &rem);
+        evaluated += cands.len();
+        // Only a candidate the budget covers can be committed.
+        let fits = |c: &Candidate| spent + c.cost_inc <= budget;
+        let step = pick(
+            ev,
+            &mut cands,
+            |c, _| !fits(c),
+            |c| fits(c).then_some(c.hit_bound),
+        );
+        match step {
+            None => break,
+            Some(Step::Commit(best)) => {
+                let before = ev.hit_count();
+                spent += cands[best].cost_inc;
+                ev.apply(&cands[best].strategy);
+                if ev.hit_count() <= before {
+                    stalls += 1;
+                    if stalls >= opts.max_stalls {
+                        break;
+                    }
+                } else {
+                    stalls = 0;
                 }
             }
-            break;
+            Some(Step::Finish) => {
+                // Budget cannot cover the best candidate: final fill pass
+                // over the rest, cheapest first (Algorithm 4 lines 13–17).
+                cands.sort_by(|a, b| a.cost_inc.total_cmp(&b.cost_inc));
+                for c in cands {
+                    if spent + c.cost_inc <= budget && !ev.is_hit(c.query) {
+                        spent += c.cost_inc;
+                        ev.apply(&c.strategy);
+                    }
+                }
+                break;
+            }
         }
     }
 
@@ -605,39 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_cap_preserves_goal_achievement() {
-        let inst = random_instance(40, 60, 3, 4, 67);
-        let idx = QueryIndex::build(&inst);
-        let cost = EuclideanCost;
-        let bounds = StrategyBounds::unbounded(3);
-        let target = 9;
-        let tau = (inst.hit_count_naive(target) + 8).min(inst.num_queries());
-        let uncapped = min_cost_iq(
-            &inst,
-            &idx,
-            target,
-            tau,
-            &cost,
-            &bounds,
-            &SearchOptions::default(),
-        );
-        let capped_opts = SearchOptions {
-            candidate_cap: Some(4),
-            ..Default::default()
-        };
-        let capped = min_cost_iq(&inst, &idx, target, tau, &cost, &bounds, &capped_opts);
-        assert!(uncapped.achieved && capped.achieved);
-        // The cap trades a little quality for a lot of work.
-        assert!(capped.candidates_evaluated <= uncapped.candidates_evaluated);
-        assert!(
-            capped.cost <= uncapped.cost * 3.0 + 1e-9,
-            "cap degraded cost too far"
-        );
-        let improved = inst.with_strategy(target, &capped.strategy);
-        assert_eq!(improved.hit_count_naive(target), capped.hits_after);
-    }
-
-    #[test]
     fn min_cost_with_l1_cost_function() {
         use crate::cost::L1Cost;
         let inst = random_instance(30, 40, 3, 3, 81);
@@ -690,9 +742,8 @@ mod tests {
 
     #[test]
     fn candidates_evaluated_is_thread_count_invariant() {
-        // The work metric counts one evaluation per solved candidate,
-        // charged before scoring — so the parallel scorer path and the
-        // sequential fallback must report the same number.
+        // The work metric counts one per generated candidate, whatever
+        // thread count built the evaluator.
         let inst = random_instance(60, 80, 3, 4, 23);
         let (cost, _) = defaults();
         let bounds = StrategyBounds::unbounded(3);
@@ -737,5 +788,86 @@ mod tests {
         assert_eq!(r.cost_per_hit(), 0.5);
         let r0 = IqReport { hits_after: 0, ..r };
         assert_eq!(r0.cost_per_hit(), f64::INFINITY);
+    }
+
+    /// Hit counts read from a table by each strategy's first coordinate,
+    /// so `pick` can be driven through hand-made ties and mode switches.
+    struct TableEvaluator {
+        instance: Instance,
+        hits: Vec<usize>,
+        applied: Vector,
+    }
+
+    impl HitEvaluator for TableEvaluator {
+        fn instance(&self) -> &Instance {
+            &self.instance
+        }
+        fn hit_count(&self) -> usize {
+            0
+        }
+        fn is_hit(&self, _q: usize) -> bool {
+            false
+        }
+        fn required_rhs(&self, _q: usize) -> Option<f64> {
+            Some(-1.0)
+        }
+        fn evaluate(&mut self, s: &ImprovementStrategy) -> usize {
+            self.hits[s[0] as usize]
+        }
+        fn apply(&mut self, s: &ImprovementStrategy) {
+            self.applied += s;
+        }
+        fn applied(&self) -> &ImprovementStrategy {
+            &self.applied
+        }
+    }
+
+    /// Candidate `i` costs `cost[i]`, hits `hits[i]` queries and has hit
+    /// bound `bound[i]`.
+    fn table(cost: &[f64], hits: &[usize], bound: &[usize]) -> (TableEvaluator, Vec<Candidate>) {
+        let ev = TableEvaluator {
+            instance: random_instance(2, 1, 1, 1, 3),
+            hits: hits.to_vec(),
+            applied: Vector::zeros(1),
+        };
+        let cands = (0..cost.len())
+            .map(|i| Candidate {
+                query: i,
+                strategy: Vector::from([i as f64]),
+                cost_inc: cost[i],
+                hit_bound: bound[i],
+                hits: None,
+            })
+            .collect();
+        (ev, cands)
+    }
+
+    #[test]
+    fn pick_breaks_ratio_ties_by_candidate_index() {
+        // Both ratios are exactly 1, but candidate 1's lower floor (1/3
+        // against 2/4) gets it scored first: the exhaustive rule still
+        // keeps the first in candidate order.
+        let (mut ev, mut cands) = table(&[2.0, 1.0], &[2, 1], &[4, 3]);
+        let step = pick(&mut ev, &mut cands, |_, _| false, |c| Some(c.hit_bound));
+        assert!(matches!(step, Some(Step::Commit(0))));
+    }
+
+    #[test]
+    fn pick_rescans_skipped_candidates_when_the_best_commits() {
+        // Min-Cost with τ = 2. Candidate 0 (ratio 0.2) overshoots, so
+        // candidate 1 (floor 0.15, but 0.75 as a commit) is skipped;
+        // candidate 2 (ratio 0.16) then commits, and the rescan finds
+        // candidate 1's ratio 0.15 overshooting: the step overshoots,
+        // exactly as scoring all three would decide.
+        let tau = 2;
+        let (mut ev, mut cands) = table(&[1.0, 1.5, 0.32], &[5, 10, 2], &[10, 10, 2]);
+        let step = pick(
+            &mut ev,
+            &mut cands,
+            |_, hits| hits > tau,
+            |c| Some(c.hit_bound.min(tau)),
+        );
+        assert!(matches!(step, Some(Step::Finish)));
+        assert!(cands.iter().all(|c| c.hits.is_some()));
     }
 }

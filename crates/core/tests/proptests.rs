@@ -3,11 +3,14 @@
 //! and the searches must respect their contracts.
 
 use iq_core::baselines::RtaEvaluator;
+use iq_core::search::{run_max_hit, run_min_cost};
 use iq_core::update::{add_object, add_query, remove_query, UpdateStats};
 use iq_core::{
-    max_hit_iq, min_cost_iq, EuclideanCost, ExecPolicy, HitEvaluator, Instance, IqReport,
-    QueryIndex, SearchOptions, StrategyBounds, TargetEvaluator, TopKQuery,
+    max_hit_iq, min_cost_iq, AsymmetricLinearCost, CostFunction, EuclideanCost, ExecPolicy,
+    ExprCost, HitEvaluator, Instance, IqReport, L1Cost, QueryIndex, SearchOptions, StrategyBounds,
+    TargetEvaluator, TopKQuery, WeightedEuclideanCost,
 };
+use iq_expr::Expr;
 use iq_geometry::Vector;
 use proptest::prelude::*;
 
@@ -40,6 +43,184 @@ fn instance() -> impl Strategy<Value = Instance> {
             let queries = qs.into_iter().map(|(w, k)| TopKQuery::new(w, k)).collect();
             Instance::new(objects, queries).unwrap()
         })
+}
+
+/// [`instance`] plus exact copies of some objects and queries, so tied
+/// scores, tied thresholds and tied candidate ratios all occur.
+fn instance_with_ties() -> impl Strategy<Value = Instance> {
+    (
+        prop::collection::vec(prop::collection::vec(coord(), 3), 3..20),
+        prop::collection::vec((prop::collection::vec(coord(), 3), 1usize..4), 1..24),
+        prop::collection::vec(any::<usize>(), 0..4),
+        prop::collection::vec(any::<usize>(), 0..6),
+    )
+        .prop_map(|(mut objects, qs, dup_objects, dup_queries)| {
+            for d in dup_objects {
+                objects.push(objects[d % objects.len()].clone());
+            }
+            let mut queries: Vec<TopKQuery> =
+                qs.into_iter().map(|(w, k)| TopKQuery::new(w, k)).collect();
+            for d in dup_queries {
+                queries.push(queries[d % queries.len()].clone());
+            }
+            Instance::new(objects, queries).unwrap()
+        })
+}
+
+/// Every cost function the search supports, with the bounds to run it
+/// under: closed-form (plain and with frozen attributes), LP-backed, and
+/// the numeric expression cost.
+fn cost_functions() -> Vec<(&'static str, Box<dyn CostFunction>, StrategyBounds)> {
+    let quadratic = Expr::attr(0)
+        .pow(2)
+        .add(Expr::c(2.0).mul(Expr::attr(1).pow(2)))
+        .add(Expr::attr(2).pow(2));
+    vec![
+        (
+            "euclidean",
+            Box::new(EuclideanCost),
+            StrategyBounds::unbounded(3),
+        ),
+        (
+            "euclidean-frozen",
+            Box::new(EuclideanCost),
+            StrategyBounds::unbounded(3).freeze(1),
+        ),
+        ("l1", Box::new(L1Cost), StrategyBounds::unbounded(3)),
+        (
+            "weighted-euclidean",
+            Box::new(WeightedEuclideanCost::new(vec![1.0, 2.5, 0.5])),
+            StrategyBounds::unbounded(3),
+        ),
+        (
+            "asymmetric-linear",
+            Box::new(AsymmetricLinearCost::new(
+                vec![3.0, 3.0, 3.0],
+                vec![1.0, 0.5, 2.0],
+            )),
+            StrategyBounds::unbounded(3),
+        ),
+        (
+            "expression",
+            Box::new(ExprCost::new(quadratic, 3)),
+            StrategyBounds::unbounded(3),
+        ),
+    ]
+}
+
+/// The goal of one greedy search.
+#[derive(Clone, Copy)]
+enum Goal {
+    MinCost(usize),
+    MaxHit(f64),
+}
+
+/// Algorithms 3 and 4 as printed, rebuilt from public parts: every unhit
+/// query's candidate is solved *and scored* before the step picks the
+/// first strictly best cost-per-hit ratio. The library's bound-pruned
+/// search must reproduce its report bit for bit.
+fn exhaustive_oracle<E: HitEvaluator>(
+    ev: &mut E,
+    goal: Goal,
+    cost_fn: &dyn CostFunction,
+    bounds: &StrategyBounds,
+) -> IqReport {
+    let opts = SearchOptions::default();
+    let hits_before = ev.hit_count();
+    let (mut iterations, mut evaluated, mut stalls, mut spent) = (0, 0, 0, 0.0f64);
+    loop {
+        let unmet = match goal {
+            Goal::MinCost(tau) => ev.hit_count() < tau,
+            Goal::MaxHit(budget) => spent < budget,
+        };
+        if !unmet || iterations >= opts.max_iterations {
+            break;
+        }
+        iterations += 1;
+        let rem = bounds.remaining(ev.applied());
+        // (query, strategy, cost, hits)
+        let mut cands: Vec<(usize, Vector, f64, usize)> = Vec::new();
+        for (q, query) in ev.instance().queries().iter().enumerate() {
+            if ev.is_hit(q) {
+                continue;
+            }
+            let Some(rhs) = ev.required_rhs(q) else {
+                continue;
+            };
+            if let Some((s, c)) = cost_fn.min_cost_to_satisfy(&query.weights, rhs, &rem) {
+                cands.push((q, s, c, 0));
+            }
+        }
+        evaluated += cands.len();
+        for c in &mut cands {
+            c.3 = ev.evaluate(&c.1);
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in cands.iter().enumerate() {
+            let ratio = if c.3 == 0 {
+                f64::INFINITY
+            } else {
+                c.2 / c.3 as f64
+            };
+            if best.is_none_or(|(_, b)| ratio < b) {
+                best = Some((i, ratio));
+            }
+        }
+        let Some((best, _)) = best else {
+            break;
+        };
+        let commit = match goal {
+            Goal::MinCost(tau) => cands[best].3 <= tau,
+            Goal::MaxHit(budget) => spent + cands[best].2 <= budget,
+        };
+        if commit {
+            let before = ev.hit_count();
+            spent += cands[best].2;
+            ev.apply(&cands[best].1);
+            if ev.hit_count() <= before {
+                stalls += 1;
+                if stalls >= opts.max_stalls {
+                    break;
+                }
+            } else {
+                stalls = 0;
+            }
+            continue;
+        }
+        match goal {
+            Goal::MinCost(tau) => {
+                let winner = cands
+                    .iter()
+                    .filter(|c| c.3 >= tau)
+                    .min_by(|a, b| a.2.total_cmp(&b.2))
+                    .expect("the best candidate exceeds tau");
+                ev.apply(&winner.1);
+            }
+            Goal::MaxHit(budget) => {
+                cands.sort_by(|a, b| a.2.total_cmp(&b.2));
+                for (q, s, c, _) in cands {
+                    if spent + c <= budget && !ev.is_hit(q) {
+                        spent += c;
+                        ev.apply(&s);
+                    }
+                }
+            }
+        }
+        break;
+    }
+    let strategy = ev.applied().clone();
+    IqReport {
+        cost: cost_fn.cost(&strategy),
+        hits_before,
+        hits_after: ev.hit_count(),
+        iterations,
+        candidates_evaluated: evaluated,
+        achieved: match goal {
+            Goal::MinCost(tau) => ev.hit_count() >= tau,
+            Goal::MaxHit(_) => true,
+        },
+        strategy,
+    }
 }
 
 fn strategy() -> impl Strategy<Value = Vector> {
@@ -191,8 +372,8 @@ proptest! {
         let bounds = StrategyBounds::unbounded(3);
         let cost = EuclideanCost;
 
-        // Sequential reference: one thread everywhere (index build, ESE
-        // context construction, candidate scoring).
+        // Sequential reference: one thread everywhere (index build and
+        // ESE context construction).
         let seq = SearchOptions {
             exec: ExecPolicy::sequential(),
             ..SearchOptions::default()
@@ -218,6 +399,47 @@ proptest! {
                 report_bits(&mh), report_bits(&mh_ref),
                 "max-hit report drifted at {} threads", threads
             );
+        }
+    }
+
+    #[test]
+    fn pruned_search_equals_exhaustive_oracle(
+        inst in instance_with_ties(),
+        tsel in any::<usize>(),
+        extra in 1usize..8,
+        budget in 0.0f64..1.5,
+    ) {
+        let target = tsel % inst.num_objects();
+        let index = QueryIndex::build(&inst);
+        let tau = (inst.hit_count_naive(target) + extra).min(inst.num_queries());
+        let opts = SearchOptions::default();
+        for (name, cost, bounds) in cost_functions() {
+            let cost = cost.as_ref();
+            for goal in [Goal::MinCost(tau), Goal::MaxHit(budget)] {
+                let (pruned, rta) = match goal {
+                    Goal::MinCost(tau) => (
+                        min_cost_iq(&inst, &index, target, tau, cost, &bounds, &opts),
+                        run_min_cost(&mut RtaEvaluator::new(&inst, target), tau, cost, &bounds, &opts),
+                    ),
+                    Goal::MaxHit(budget) => (
+                        max_hit_iq(&inst, &index, target, budget, cost, &bounds, &opts),
+                        run_max_hit(&mut RtaEvaluator::new(&inst, target), budget, cost, &bounds, &opts),
+                    ),
+                };
+                let ese_oracle = exhaustive_oracle(
+                    &mut TargetEvaluator::new(&inst, &index, target), goal, cost, &bounds,
+                );
+                let rta_oracle =
+                    exhaustive_oracle(&mut RtaEvaluator::new(&inst, target), goal, cost, &bounds);
+                prop_assert_eq!(
+                    report_bits(&pruned), report_bits(&ese_oracle),
+                    "ESE search drifted from the oracle under {}", name
+                );
+                prop_assert_eq!(
+                    report_bits(&rta), report_bits(&rta_oracle),
+                    "RTA search drifted from the oracle under {}", name
+                );
+            }
         }
     }
 
