@@ -1,12 +1,10 @@
 //! Ablation for the §4.3 update machinery: one incremental operation
-//! against the full index rebuild it replaces, plus the R-tree split
-//! heuristics feeding the same workload.
+//! against the full index rebuild it replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iq_bench::harness::build_instance;
 use iq_core::update::{add_query, UpdateStats};
 use iq_core::{QueryIndex, TopKQuery};
-use iq_index::{RTree, SplitAlgorithm};
 use iq_workload::{Distribution, QueryDistribution};
 
 fn bench_updates(c: &mut Criterion) {
@@ -58,34 +56,5 @@ fn bench_updates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_splits(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_rtree_split");
-    group.sample_size(10);
-    let inst = build_instance(
-        Distribution::Independent,
-        QueryDistribution::Clustered,
-        100,
-        2000,
-        3,
-        4,
-        78,
-    );
-    for (name, algo) in [
-        ("quadratic", SplitAlgorithm::Quadratic),
-        ("rstar", SplitAlgorithm::RStar),
-    ] {
-        group.bench_function(BenchmarkId::new("build", name), |b| {
-            b.iter(|| {
-                let mut t = RTree::with_split(3, 16, algo);
-                for (qi, q) in inst.queries().iter().enumerate() {
-                    t.insert(q.weights.clone(), qi);
-                }
-                t
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_updates, bench_splits);
+criterion_group!(benches, bench_updates);
 criterion_main!(benches);

@@ -27,11 +27,13 @@ fn bench(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("rtree_only", m), &inst, |b, inst| {
             b.iter(|| {
-                let mut t = RTree::new(inst.dim());
-                for (qi, q) in inst.queries().iter().enumerate() {
-                    t.insert(q.weights.clone(), qi);
-                }
-                t
+                RTree::bulk(
+                    inst.dim(),
+                    inst.queries()
+                        .iter()
+                        .enumerate()
+                        .map(|(qi, q)| (q.weights.clone(), qi)),
+                )
             })
         });
     }

@@ -162,11 +162,17 @@ pub fn measure_index_costs(instance: &Instance) -> IndexCosts {
     let efficient_time = t0.elapsed().as_secs_f64();
     let efficient_size_pct = 100.0 * qindex.size_bytes() as f64 / base;
 
+    // The bare R-tree comparator is STR bulk-loaded, like the subdomain
+    // index's own tree (DESIGN.md §8).
     let t0 = Instant::now();
-    let mut rtree = iq_index::RTree::new(instance.dim().max(1));
-    for (qi, q) in instance.queries().iter().enumerate() {
-        rtree.insert(q.weights.clone(), qi);
-    }
+    let rtree = iq_index::RTree::bulk(
+        instance.dim().max(1),
+        instance
+            .queries()
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| (q.weights.clone(), qi)),
+    );
     let rtree_time = t0.elapsed().as_secs_f64();
     let rtree_size_pct = 100.0 * rtree.size_bytes() as f64 / base;
 

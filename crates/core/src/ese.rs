@@ -118,18 +118,13 @@ impl<'a> EvalContext<'a> {
                 .threshold_for(instance, qi, target)
                 .map(|(o, s)| (o as u32, s))
         });
-        // Grouping mutates one shared forest: sequential, in query order.
-        let mut grouped = GroupedQueryIndex::new(instance.dim().max(1));
-        for (qi, t) in thresh.iter().enumerate() {
-            if let Some((o, _)) = t {
-                grouped.insert(*o as usize, instance.queries()[qi].weights.clone(), qi);
-            }
-        }
-        // The forest is read-only from here on: seal every per-group
-        // R-tree into its arena form for the iterative slab scans. The
-        // explicit seal state guards against accidental writes — any
-        // mutation past this point is counted by the index, not silent.
-        grouped.seal();
+        // Group by threshold object, then STR-pack each group once.
+        let grouped = GroupedQueryIndex::build(
+            instance.dim().max(1),
+            thresh.iter().enumerate().filter_map(|(qi, t)| {
+                t.map(|(o, _)| (o as usize, instance.queries()[qi].weights.clone(), qi))
+            }),
+        );
         EvalContext {
             instance,
             target,
@@ -244,8 +239,9 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Fast ESE, reporting each query whose hit status changes as
-    /// `(query, was_hit, now_hit)`. Used by the multi-target extension to
-    /// maintain union hit counts.
+    /// `(query, was_hit, now_hit)`, in ascending query id — never in index
+    /// traversal order, so no caller can depend on tree shape. Used by the
+    /// multi-target extension to maintain union hit counts.
     pub fn evaluate_changes(
         &self,
         cursor: &EvalCursor,
@@ -253,6 +249,8 @@ impl<'a> EvalContext<'a> {
     ) -> Vec<(usize, bool, bool)> {
         let mut out = Vec::new();
         self.visit_changes(cursor, s, &mut |q, was, now| out.push((q, was, now)));
+        // Each query sits in exactly one group, so ids are distinct.
+        out.sort_unstable_by_key(|&(q, _, _)| q);
         out
     }
 

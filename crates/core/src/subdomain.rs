@@ -218,19 +218,19 @@ impl QueryIndex {
         )
     }
 
-    /// Seals the query R-tree into its arena read form (a no-op when
-    /// already sealed). Build does this implicitly via the STR bulk-load;
-    /// call again after incremental updates to restore the fast read path.
+    /// STR-packs the query R-tree now, folding in its pending inserts and
+    /// tombstones ([`RTree::pack`]). Never needed for correctness or speed:
+    /// the tree bounds its own pending run, and reads answer the same
+    /// either way.
     pub fn seal(&mut self) {
-        self.rtree.optimize();
+        self.rtree.pack();
     }
 
-    /// Whether the query R-tree is in its sealed (arena) read form. The
-    /// incremental update paths (§4.3) insert into the R-tree and thereby
-    /// leave the sealed state; long-lived holders (the serving layer's
-    /// engine cache) re-seal after a write batch and record the event.
+    /// Whether the query R-tree has nothing pending ([`RTree::is_packed`]).
+    /// Build packs it; the incremental update paths (§4.3) add pending
+    /// inserts and tombstones until the tree's compaction rule re-packs it.
     pub fn is_sealed(&self) -> bool {
-        self.rtree.is_sealed()
+        self.rtree.is_packed()
     }
 
     /// Dimensionality of the indexed query points.
@@ -349,8 +349,23 @@ impl QueryIndex {
                 return Err(format!("query {qi} toplist stale"));
             }
         }
+        // The R-tree must hold every query exactly once, at its current
+        // weights: live packed slots plus pending entries.
+        self.rtree.check_invariants()?;
         if self.rtree.len() != instance.num_queries() {
             return Err("R-tree population mismatch".into());
+        }
+        let mut seen = vec![false; instance.num_queries()];
+        for e in self.rtree.iter() {
+            let Some(slot) = seen.get_mut(e.data) else {
+                return Err(format!("R-tree holds unknown query id {}", e.data));
+            };
+            if std::mem::replace(slot, true) {
+                return Err(format!("R-tree holds query {} twice", e.data));
+            }
+            if e.point != instance.queries()[e.data].weights {
+                return Err(format!("R-tree point of query {} is stale", e.data));
+            }
         }
         Ok(())
     }
@@ -489,6 +504,26 @@ mod tests {
                 assert!(idx.may_be_boundary_object(o as usize));
             }
         }
+    }
+
+    #[test]
+    fn check_invariants_catches_a_moved_point_or_payload() {
+        let inst = random_instance(20, 30, 3, 4, 17);
+        let fresh = QueryIndex::build(&inst);
+        fresh.check_invariants(&inst).unwrap();
+        let w0 = inst.queries()[0].weights.clone();
+
+        // Same population, but query 0 indexed at a point it does not have.
+        let mut moved = fresh.clone();
+        assert_eq!(moved.rtree.remove(&w0, |&d| d == 0), Some(0));
+        moved.rtree.insert(w0.iter().map(|x| x + 0.5).collect(), 0);
+        assert!(moved.check_invariants(&inst).is_err());
+
+        // Same population, but query 0's point carries query 1's id.
+        let mut relabeled = fresh.clone();
+        assert_eq!(relabeled.rtree.remove(&w0, |&d| d == 0), Some(0));
+        relabeled.rtree.insert(w0, 1);
+        assert!(relabeled.check_invariants(&inst).is_err());
     }
 
     #[test]

@@ -249,6 +249,12 @@ proptest! {
         let ev = TargetEvaluator::new(&inst, &index, target);
         let changes = ev.evaluate_changes(&s);
         let improved = inst.with_strategy(target, &s);
+        // Changes come in strictly ascending query id, whatever the shape
+        // of the trees that found them.
+        prop_assert!(
+            changes.windows(2).all(|w| w[0].0 < w[1].0),
+            "changes not sorted by query id"
+        );
         // Every reported change is real, and no real change is missed.
         let mut reported = vec![None; inst.num_queries()];
         for (q, was, now) in &changes {

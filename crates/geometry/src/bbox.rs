@@ -1,6 +1,6 @@
 //! Axis-aligned bounding boxes in `R^d`, the workhorse of the R-tree.
 //!
-//! Besides the usual containment/overlap/enlargement operations, boxes know
+//! Besides the usual containment/overlap/merge operations, boxes know
 //! how to bound a *linear form* over themselves ([`BoundingBox::form_range`]),
 //! which is what lets the R-tree prune whole subtrees against hyperplane and
 //! slab predicates without visiting the points inside.
@@ -130,34 +130,6 @@ impl BoundingBox {
         }
     }
 
-    /// The merged box of `self` and `other`, non-destructively.
-    pub fn merged(&self, other: &BoundingBox) -> BoundingBox {
-        let mut b = self.clone();
-        b.merge(other);
-        b
-    }
-
-    /// Hyper-volume (product of side lengths). Zero for degenerate boxes.
-    pub fn volume(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
-    }
-
-    /// Sum of side lengths (the R*-tree "margin" heuristic).
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).sum()
-    }
-
-    /// How much the volume would grow if `other` were merged in.
-    pub fn enlargement(&self, other: &BoundingBox) -> f64 {
-        self.merged(other).volume() - self.volume()
-    }
-
     /// Minimal squared Euclidean distance from `p` to any point of the box.
     /// Zero when `p` is inside. Used by kNN search.
     pub fn min_dist_sq(&self, p: &[f64]) -> f64 {
@@ -270,7 +242,6 @@ mod tests {
     fn point_box_roundtrip() {
         let b = BoundingBox::point(&[1.0, 2.0]);
         assert!(b.contains_point(&[1.0, 2.0]));
-        assert_eq!(b.volume(), 0.0);
         assert!(!b.is_empty());
     }
 
@@ -284,7 +255,6 @@ mod tests {
     fn empty_box_semantics() {
         let mut e = BoundingBox::empty(2);
         assert!(e.is_empty());
-        assert_eq!(e.volume(), 0.0);
         assert!(!e.intersects(&bb(&[0.0, 0.0], &[1.0, 1.0])));
         e.merge_point(&[0.5, 0.5]);
         assert!(!e.is_empty());
@@ -306,15 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_enlargement_volume_margin() {
-        let a = bb(&[0.0, 0.0], &[1.0, 1.0]);
-        let b = bb(&[2.0, 0.0], &[3.0, 1.0]);
-        let m = a.merged(&b);
+    fn merge_and_center() {
+        let mut m = bb(&[0.0, 0.0], &[1.0, 1.0]);
+        m.merge(&bb(&[2.0, 0.0], &[3.0, 1.0]));
         assert_eq!(m, bb(&[0.0, 0.0], &[3.0, 1.0]));
-        assert_eq!(a.volume(), 1.0);
-        assert_eq!(m.volume(), 3.0);
-        assert_eq!(a.enlargement(&b), 2.0);
-        assert_eq!(m.margin(), 4.0);
         assert_eq!(m.center(), vec![1.5, 0.5]);
     }
 

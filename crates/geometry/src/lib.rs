@@ -16,20 +16,16 @@
 //!   can change result ([`hyperplane::Slab`], Eqs. 4–5).
 //!
 //! The remaining modules serve the index layer: [`bbox`] gives the R-tree
-//! its pruning predicates, [`sweep`] provides plane-sweep intersection
-//! discovery (the paper's citation \[15\]), and [`hull`] supports the onion
-//! top-k baseline. [`matrix`] is the flat evaluation substrate: contiguous
-//! row-major storage plus batched dot-product kernels that preserve the
-//! scalar summation order bit-for-bit (see DESIGN.md §9).
+//! its pruning predicates, and [`matrix`] is the flat evaluation substrate:
+//! contiguous row-major storage plus batched dot-product kernels that
+//! preserve the scalar summation order bit-for-bit (see DESIGN.md §9).
 
 #![warn(missing_docs)]
 
 pub mod bbox;
 pub mod bsp;
-pub mod hull;
 pub mod hyperplane;
 pub mod matrix;
-pub mod sweep;
 pub mod vector;
 
 pub use bbox::{BoundingBox, BoxSide};

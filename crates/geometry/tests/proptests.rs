@@ -1,8 +1,6 @@
 //! Property-based tests for the geometric substrate.
 
 use iq_geometry::bsp::{find_subdomains, signature_of};
-use iq_geometry::hull::{convex_hull_indices, onion_layers};
-use iq_geometry::sweep::{brute_force_intersections, segment_intersections, Segment};
 use iq_geometry::{BoundingBox, Hyperplane, Slab, Vector};
 use proptest::prelude::*;
 
@@ -118,47 +116,5 @@ proptest! {
                 prop_assert_eq!(p.assignment[qi], sd.id);
             }
         }
-    }
-
-    #[test]
-    fn sweep_equals_brute_force(
-        coords in prop::collection::vec((finite(0.0..10.0), finite(0.0..10.0),
-                                          finite(0.0..10.0), finite(0.0..10.0)), 2..25),
-    ) {
-        let segs: Vec<Segment> = coords
-            .into_iter()
-            .map(|(x1, y1, x2, y2)| Segment::new((x1, y1), (x2, y2)))
-            .collect();
-        prop_assert_eq!(segment_intersections(&segs), brute_force_intersections(&segs));
-    }
-
-    #[test]
-    fn hull_contains_directional_extremes(
-        pts in prop::collection::vec((finite(-5.0..5.0), finite(-5.0..5.0)), 3..40),
-        dir in (finite(-1.0..1.0), finite(-1.0..1.0)),
-    ) {
-        prop_assume!(dir.0.abs() + dir.1.abs() > 1e-6);
-        let hull = convex_hull_indices(&pts);
-        prop_assert!(!hull.is_empty());
-        let score = |i: usize| pts[i].0 * dir.0 + pts[i].1 * dir.1;
-        let best = (0..pts.len()).map(score).fold(f64::NEG_INFINITY, f64::max);
-        let hull_best = hull.iter().map(|&i| score(i)).fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((best - hull_best).abs() < 1e-9);
-    }
-
-    #[test]
-    fn onion_layers_partition(
-        pts in prop::collection::vec((finite(-5.0..5.0), finite(-5.0..5.0)), 1..40),
-    ) {
-        let layers = onion_layers(&pts);
-        let mut seen = vec![false; pts.len()];
-        for layer in &layers {
-            prop_assert!(!layer.is_empty());
-            for &i in layer {
-                prop_assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
     }
 }

@@ -4,59 +4,42 @@
 //! whose score defines their top-k admission threshold. A strategy's
 //! affected subspace is a *different slab per threshold object*, so slab
 //! retrieval must be scoped to one group at a time: this structure keeps an
-//! R-tree per group and routes slab/window queries accordingly.
+//! R-tree per group and routes slab queries accordingly.
 //!
 //! Groups are identified by a dense `usize` key supplied by the caller
-//! (typically an object id). Small groups fall back to a plain vector scan —
-//! below [`TREE_THRESHOLD`] points, walking an R-tree costs more than the
-//! scan it would save.
+//! (typically an object id). The forest is built once: items are grouped,
+//! then each group is STR-packed with [`RTree::bulk`]. A group of at most
+//! [`crate::rtree::DEFAULT_MAX_ENTRIES`] points is a single leaf, which a
+//! slab visit scans like a flat list.
 
 use crate::rtree::RTree;
 use iq_geometry::Slab;
 use std::collections::BTreeMap;
 
-/// Below this population a group stores its points in a flat list.
-pub const TREE_THRESHOLD: usize = 32;
-
-#[derive(Debug, Clone)]
-enum GroupStore {
-    Flat(Vec<(Vec<f64>, usize)>),
-    Tree(RTree<usize>),
-}
-
 /// Per-group spatial index over `(point, payload)` pairs.
 #[derive(Debug, Clone)]
 pub struct GroupedQueryIndex {
-    dim: usize,
-    groups: BTreeMap<usize, GroupStore>,
+    groups: BTreeMap<usize, RTree<usize>>,
     len: usize,
-    /// Whether [`GroupedQueryIndex::seal`] has been called with no mutation
-    /// since: the explicit read-only state the serving layer relies on.
-    sealed: bool,
-    /// How many times a mutation hit a sealed index (each one pays the
-    /// slow unseal path of the affected group's R-tree).
-    unseal_events: u64,
 }
 
 impl GroupedQueryIndex {
-    /// Creates an empty index for `dim`-dimensional points.
-    pub fn new(dim: usize) -> Self {
-        GroupedQueryIndex {
-            dim,
-            groups: BTreeMap::new(),
-            len: 0,
-            sealed: false,
-            unseal_events: 0,
-        }
-    }
-
     /// Builds the index from an iterator of `(group, point, payload)`.
+    ///
+    /// # Panics
+    /// Panics if a point's dimensionality is not `dim`.
     pub fn build(dim: usize, items: impl IntoIterator<Item = (usize, Vec<f64>, usize)>) -> Self {
-        let mut idx = Self::new(dim);
+        let mut by_group: BTreeMap<usize, Vec<(Vec<f64>, usize)>> = BTreeMap::new();
+        let mut len = 0;
         for (g, p, d) in items {
-            idx.insert(g, p, d);
+            by_group.entry(g).or_default().push((p, d));
+            len += 1;
         }
-        idx
+        let groups = by_group
+            .into_iter()
+            .map(|(g, items)| (g, RTree::bulk(dim, items)))
+            .collect();
+        GroupedQueryIndex { groups, len }
     }
 
     /// Total number of indexed points across all groups.
@@ -79,89 +62,10 @@ impl GroupedQueryIndex {
         self.groups.keys().copied()
     }
 
-    /// Records that a mutation is about to happen. A mutation against a
-    /// sealed index is legal but slow (the affected group's arena R-tree
-    /// converts back to pointer form), so the transition is counted rather
-    /// than silent — callers that care (the serving layer's engine cache)
-    /// surface [`GroupedQueryIndex::unseal_events`] as a metric.
-    fn note_mutation(&mut self) {
-        if self.sealed {
-            self.sealed = false;
-            self.unseal_events += 1;
-        }
-    }
-
-    /// Inserts a point into `group`, upgrading the group to an R-tree when
-    /// it crosses [`TREE_THRESHOLD`].
-    pub fn insert(&mut self, group: usize, point: Vec<f64>, payload: usize) {
-        assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.note_mutation();
-        let dim = self.dim;
-        let store = self
-            .groups
-            .entry(group)
-            .or_insert_with(|| GroupStore::Flat(Vec::new()));
-        match store {
-            GroupStore::Flat(v) => {
-                v.push((point, payload));
-                if v.len() > TREE_THRESHOLD {
-                    let items = std::mem::take(v);
-                    *store = GroupStore::Tree(RTree::bulk(dim, items));
-                }
-            }
-            GroupStore::Tree(t) => t.insert(point, payload),
-        }
-        self.len += 1;
-    }
-
-    /// Removes one point with the given payload from `group`.
-    /// Returns `true` when something was removed.
-    pub fn remove(&mut self, group: usize, point: &[f64], payload: usize) -> bool {
-        if !self.groups.contains_key(&group) {
-            return false;
-        }
-        self.note_mutation();
-        let Some(store) = self.groups.get_mut(&group) else {
-            return false;
-        };
-        let removed = match store {
-            GroupStore::Flat(v) => {
-                if let Some(pos) = v.iter().position(|(p, d)| p == point && *d == payload) {
-                    v.swap_remove(pos);
-                    true
-                } else {
-                    false
-                }
-            }
-            GroupStore::Tree(t) => t.remove(point, |&d| d == payload).is_some(),
-        };
-        if removed {
-            self.len -= 1;
-            let empty = match store {
-                GroupStore::Flat(v) => v.is_empty(),
-                GroupStore::Tree(t) => t.is_empty(),
-            };
-            if empty {
-                self.groups.remove(&group);
-            }
-        }
-        removed
-    }
-
     /// Visits the payloads of all points of `group` inside the slab.
     pub fn visit_slab(&self, group: usize, slab: &Slab, visit: &mut impl FnMut(usize)) {
-        match self.groups.get(&group) {
-            None => {}
-            Some(GroupStore::Flat(v)) => {
-                for (p, d) in v {
-                    if slab.contains(p) {
-                        visit(*d);
-                    }
-                }
-            }
-            Some(GroupStore::Tree(t)) => {
-                t.visit_slab(slab, &mut |e| visit(e.data));
-            }
+        if let Some(t) = self.groups.get(&group) {
+            t.visit_slab(slab, &mut |e| visit(e.data));
         }
     }
 
@@ -181,82 +85,24 @@ impl GroupedQueryIndex {
         tol: f64,
         visit: &mut impl FnMut(usize),
     ) {
-        match self.groups.get(&group) {
-            None => {}
-            Some(GroupStore::Flat(v)) => {
-                for (p, d) in v {
-                    if slab.contains_tol(p, tol) {
-                        visit(*d);
-                    }
-                }
-            }
-            Some(GroupStore::Tree(t)) => {
-                t.visit_slab_tol(slab, tol, &mut |e| visit(e.data));
-            }
+        if let Some(t) = self.groups.get(&group) {
+            t.visit_slab_tol(slab, tol, &mut |e| visit(e.data));
         }
     }
 
-    /// Visits every `(group, payload)` pair in ascending group order
-    /// (deterministic: the visit order feeds `evaluate_changes` output).
+    /// Visits every `(group, point, payload)` triple in ascending group
+    /// order.
     pub fn visit_all(&self, visit: &mut impl FnMut(usize, &[f64], usize)) {
-        for (&g, store) in &self.groups {
-            match store {
-                GroupStore::Flat(v) => {
-                    for (p, d) in v {
-                        visit(g, p, *d);
-                    }
-                }
-                GroupStore::Tree(t) => {
-                    for e in t.iter() {
-                        visit(g, &e.point, e.data);
-                    }
-                }
+        for (&g, t) in &self.groups {
+            for e in t.iter() {
+                visit(g, &e.point, e.data);
             }
         }
-    }
-
-    /// Seals every tree-backed group into its arena form (see
-    /// [`RTree::optimize`]) and enters the explicit sealed state. Call when
-    /// the forest becomes read-only — e.g. once
-    /// `iq-core::ese::EvalContext` finishes grouping — so slab scans run
-    /// over flat node arrays. A later [`GroupedQueryIndex::insert`] /
-    /// [`GroupedQueryIndex::remove`] still works, but leaves the sealed
-    /// state and bumps [`GroupedQueryIndex::unseal_events`], so the slow
-    /// path is observable instead of silent.
-    pub fn seal(&mut self) {
-        for store in self.groups.values_mut() {
-            if let GroupStore::Tree(t) = store {
-                t.optimize();
-            }
-        }
-        self.sealed = true;
-    }
-
-    /// Alias of [`GroupedQueryIndex::seal`], kept for parity with
-    /// [`RTree::optimize`].
-    pub fn optimize(&mut self) {
-        self.seal();
-    }
-
-    /// Whether the index is in the explicit sealed (read-only) state.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// How many mutations have hit a sealed index over its lifetime.
-    pub fn unseal_events(&self) -> u64 {
-        self.unseal_events
     }
 
     /// Rough in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.groups
-            .values()
-            .map(|s| match s {
-                GroupStore::Flat(v) => v.len() * (self.dim * 8 + 8) + 48,
-                GroupStore::Tree(t) => t.size_bytes() + 48,
-            })
-            .sum()
+        self.groups.values().map(|t| t.size_bytes() + 48).sum()
     }
 }
 
@@ -277,17 +123,21 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let idx = GroupedQueryIndex::new(2);
+        let idx = GroupedQueryIndex::build(2, Vec::new());
         assert!(idx.is_empty());
         assert_eq!(idx.num_groups(), 0);
     }
 
     #[test]
-    fn insert_and_group_routing() {
-        let mut idx = GroupedQueryIndex::new(2);
-        idx.insert(0, vec![0.1, 0.2], 100);
-        idx.insert(1, vec![0.3, 0.4], 101);
-        idx.insert(0, vec![0.5, 0.6], 102);
+    fn build_and_group_routing() {
+        let idx = GroupedQueryIndex::build(
+            2,
+            [
+                (0, vec![0.1, 0.2], 100),
+                (1, vec![0.3, 0.4], 101),
+                (0, vec![0.5, 0.6], 102),
+            ],
+        );
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.num_groups(), 2);
         let mut seen = Vec::new();
@@ -297,13 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_to_tree_upgrade_preserves_search() {
+    fn multi_level_group_matches_naive_slab() {
         let mut rnd = lcg(5);
-        let mut idx = GroupedQueryIndex::new(2);
         let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd(), rnd()]).collect();
-        for (i, p) in pts.iter().enumerate() {
-            idx.insert(7, p.clone(), i);
-        }
+        let idx =
+            GroupedQueryIndex::build(2, pts.iter().cloned().enumerate().map(|(i, p)| (7, p, i)));
         assert_eq!(idx.len(), 200);
         let p = Vector::from([0.8, 0.1]);
         let o = Vector::from([0.1, 0.8]);
@@ -321,68 +169,5 @@ mod tests {
         assert_eq!(got, want);
         // Unknown group returns nothing.
         assert!(idx.search_slab(99, &slab).is_empty());
-    }
-
-    #[test]
-    fn remove_shrinks_and_drops_groups() {
-        let mut idx = GroupedQueryIndex::new(1);
-        idx.insert(3, vec![1.0], 10);
-        idx.insert(3, vec![2.0], 11);
-        assert!(idx.remove(3, &[1.0], 10));
-        assert!(!idx.remove(3, &[1.0], 10)); // already gone
-        assert_eq!(idx.len(), 1);
-        assert!(idx.remove(3, &[2.0], 11));
-        assert_eq!(idx.num_groups(), 0);
-        assert!(!idx.remove(99, &[0.0], 0));
-    }
-
-    #[test]
-    fn seal_state_guard_counts_unseals() {
-        let mut idx = GroupedQueryIndex::new(1);
-        assert!(!idx.is_sealed());
-        for i in 0..50 {
-            idx.insert(0, vec![i as f64], i);
-        }
-        assert_eq!(idx.unseal_events(), 0, "building is not an unseal");
-        idx.seal();
-        assert!(idx.is_sealed());
-        // Reads keep the seal.
-        let slab = Slab::affected_subspace(
-            &Vector::from([1.0]),
-            &Vector::from([0.5]),
-            &Vector::from([-0.2]),
-        )
-        .unwrap();
-        let _ = idx.search_slab(0, &slab);
-        assert!(idx.is_sealed());
-        // A write against the sealed index is recorded, not silent.
-        idx.insert(0, vec![99.0], 99);
-        assert!(!idx.is_sealed());
-        assert_eq!(idx.unseal_events(), 1);
-        // Further writes while unsealed are free.
-        idx.insert(0, vec![100.0], 100);
-        assert_eq!(idx.unseal_events(), 1);
-        // Re-seal, then a remove unseals again.
-        idx.seal();
-        assert!(idx.remove(0, &[99.0], 99));
-        assert_eq!(idx.unseal_events(), 2);
-        // A remove that misses every group does not count as a mutation.
-        idx.seal();
-        assert!(!idx.remove(42, &[0.0], 0));
-        assert!(idx.is_sealed());
-        assert_eq!(idx.unseal_events(), 2);
-    }
-
-    #[test]
-    fn remove_from_upgraded_group() {
-        let mut idx = GroupedQueryIndex::new(1);
-        for i in 0..100 {
-            idx.insert(0, vec![i as f64], i);
-        }
-        for i in 0..100 {
-            assert!(idx.remove(0, &[i as f64], i), "remove {i}");
-        }
-        assert!(idx.is_empty());
-        assert_eq!(idx.num_groups(), 0);
     }
 }

@@ -1,12 +1,12 @@
 //! # iq-index
 //!
 //! Indexing substrate for the `improvement-queries` workspace: a
-//! from-scratch d-dimensional [R-tree](rtree::RTree) (Guttman 1984) with
-//! window, affected-subspace (slab), and kNN search; a
-//! [bloom filter](bloom::BloomFilter) over subdomain boundary keys (§4.3 of
-//! the paper); and a [grouped query index](grouped::GroupedQueryIndex) — a
-//! forest of per-threshold-object R-trees that routes the slab queries
-//! issued by Efficient Strategy Evaluation.
+//! from-scratch d-dimensional [R-tree](rtree::RTree) (an STR-packed arena
+//! with a small pending run) with window, affected-subspace (slab), and kNN
+//! search; a [bloom filter](bloom::BloomFilter) over subdomain boundary keys
+//! (§4.3 of the paper); and a [grouped query index](grouped::GroupedQueryIndex)
+//! — a build-once forest of per-threshold-object R-trees that routes the slab
+//! queries issued by Efficient Strategy Evaluation.
 
 #![warn(missing_docs)]
 
@@ -16,7 +16,7 @@ pub mod rtree;
 
 pub use bloom::BloomFilter;
 pub use grouped::GroupedQueryIndex;
-pub use rtree::{Entry, RTree, SplitAlgorithm};
+pub use rtree::{Entry, RTree};
 
 // Marker-trait audit: all query paths on these structures take `&self`
 // and the evaluation core reads them from many threads concurrently

@@ -1,9 +1,21 @@
-//! A from-scratch `d`-dimensional R-tree over points (Guttman 1984, with the
-//! quadratic split heuristic).
+//! A from-scratch `d`-dimensional R-tree over points: one Sort-Tile-Recursive
+//! packed arena plus a small run of pending inserts.
 //!
 //! The paper indexes top-k query points with "multidimensional data
-//! structures such as R-tree \[10\] or X-tree \[3\]" (§4). This implementation
-//! supports the three access paths improvement-query processing needs:
+//! structures such as R-tree \[10\] or X-tree \[3\]" (§4). The query index is
+//! bulk-loaded once and then takes only the incremental inserts and removes
+//! of §4.3, so the tree has a single representation:
+//!
+//! * a **packed arena** built by STR: nodes in one flat `Vec` (a node's
+//!   children are contiguous), entries in a second `Vec` grouped by leaf;
+//! * a **pending run** of inserts not yet packed, scanned after the arena;
+//! * **tombstones**: a removed packed entry leaves an empty slot behind.
+//!
+//! Once pending inserts plus tombstones exceed `max(node capacity, live/4)`
+//! the tree re-packs itself with STR. Every read answers exactly as an
+//! [`RTree::bulk`] of the live entries would (same sets, same distances).
+//!
+//! The access paths improvement-query processing needs:
 //!
 //! * [`RTree::search_box`] — classic window queries;
 //! * [`RTree::search_slab`] — retrieval of query points inside an *affected
@@ -16,29 +28,10 @@
 
 use iq_geometry::{BoundingBox, Slab};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Default maximum number of entries per node.
 pub const DEFAULT_MAX_ENTRIES: usize = 16;
-
-/// Node-split heuristic.
-///
-/// The paper indexes query points with "multidimensional data structures
-/// such as R-tree or X-tree"; both split flavours are provided so the
-/// ablation benchmarks can compare them:
-///
-/// * [`SplitAlgorithm::Quadratic`] — Guttman's original pick-seeds /
-///   pick-next (the default).
-/// * [`SplitAlgorithm::RStar`] — the R*-tree topological split (Beckmann
-///   et al. 1990): choose the split axis by minimum margin sum, then the
-///   distribution along it by minimum overlap (ties by minimum area).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitAlgorithm {
-    /// Guttman's quadratic split.
-    #[default]
-    Quadratic,
-    /// The R*-tree margin/overlap-driven split.
-    RStar,
-}
 
 /// A stored point with its payload.
 #[derive(Debug, Clone)]
@@ -49,46 +42,8 @@ pub struct Entry<T> {
     pub data: T,
 }
 
-#[derive(Debug, Clone)]
-enum Node<T> {
-    Leaf(Vec<Entry<T>>),
-    Internal(Vec<Child<T>>),
-}
-
-#[derive(Debug, Clone)]
-struct Child<T> {
-    bbox: BoundingBox,
-    node: Box<Node<T>>,
-}
-
-impl<T> Node<T> {
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf(e) => e.len(),
-            Node::Internal(c) => c.len(),
-        }
-    }
-
-    fn compute_bbox(&self, dim: usize) -> BoundingBox {
-        let mut b = BoundingBox::empty(dim);
-        match self {
-            Node::Leaf(entries) => {
-                for e in entries {
-                    b.merge_point(&e.point);
-                }
-            }
-            Node::Internal(children) => {
-                for c in children {
-                    b.merge(&c.bbox);
-                }
-            }
-        }
-        b
-    }
-}
-
-/// A flattened (arena) node: `start..end` indexes into the arena's `nodes`
-/// vector for internal nodes and into its `entries` vector for leaves.
+/// An arena node: `start..end` indexes into `nodes` for internal nodes and
+/// into `slots` for leaves.
 #[derive(Debug, Clone)]
 struct ArenaNode {
     bbox: BoundingBox,
@@ -97,36 +52,18 @@ struct ArenaNode {
     leaf: bool,
 }
 
-/// Read-optimised tree storage: every node lives in one flat `Vec` (children
-/// of a node are contiguous, in BFS order) and every entry lives in a second
-/// flat `Vec` grouped by leaf. Slab/box scans walk index ranges with an
-/// explicit stack instead of chasing `Box` pointers, which is where the
-/// evaluation loop of §4.2 spends its index time.
-#[derive(Debug, Clone)]
-struct Arena<T> {
-    nodes: Vec<ArenaNode>,
-    entries: Vec<Entry<T>>,
-}
-
-/// The two storage forms of a tree. `Dynamic` supports insert/remove;
-/// `Arena` is the sealed read-only form produced by [`RTree::bulk`] and
-/// [`RTree::optimize`]. The first mutation after sealing converts back to
-/// `Dynamic` once (shape-preserving, O(n)) and the tree then stays dynamic
-/// until re-sealed.
-#[derive(Debug, Clone)]
-enum Repr<T> {
-    Dynamic(Node<T>),
-    Arena(Arena<T>),
-}
-
-/// A dynamic R-tree over `d`-dimensional points with payloads of type `T`.
+/// An R-tree over `d`-dimensional points with payloads of type `T`.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
-    repr: Repr<T>,
     dim: usize,
     max_entries: usize,
-    min_entries: usize,
-    split: SplitAlgorithm,
+    /// Packed nodes; index 0 is the root. Empty when nothing is packed.
+    nodes: Vec<ArenaNode>,
+    /// Packed entries grouped by leaf; `None` is a tombstone.
+    slots: Vec<Option<Entry<T>>>,
+    tombstones: usize,
+    /// Inserts since the last pack, in insertion order.
+    pending: Vec<Entry<T>>,
     len: usize,
 }
 
@@ -137,98 +74,139 @@ impl<T> RTree<T> {
         Self::with_capacity(dim, DEFAULT_MAX_ENTRIES)
     }
 
-    /// Creates an empty tree with a custom node capacity (`max_entries ≥ 4`;
-    /// the minimum fill is `max_entries / 2`).
+    /// Creates an empty tree with a custom node capacity (`max_entries ≥ 4`).
     pub fn with_capacity(dim: usize, max_entries: usize) -> Self {
-        Self::with_split(dim, max_entries, SplitAlgorithm::Quadratic)
-    }
-
-    /// Creates an empty tree with an explicit split heuristic.
-    pub fn with_split(dim: usize, max_entries: usize, split: SplitAlgorithm) -> Self {
         assert!(max_entries >= 4, "R-tree node capacity must be at least 4");
         assert!(dim > 0, "R-tree dimension must be positive");
         RTree {
-            repr: Repr::Dynamic(Node::Leaf(Vec::new())),
             dim,
             max_entries,
-            min_entries: max_entries / 2,
-            split,
+            nodes: Vec::new(),
+            slots: Vec::new(),
+            tombstones: 0,
+            pending: Vec::new(),
             len: 0,
         }
     }
 
-    /// The split heuristic in use.
-    pub fn split_algorithm(&self) -> SplitAlgorithm {
-        self.split
-    }
-
-    /// Bulk-builds a sealed (arena) tree with Sort-Tile-Recursive packing:
-    /// at each level the points are sorted along the widest-spread axis and
-    /// cut into evenly sized runs of capacity `max^(h-1)`, which yields
-    /// uniform leaf depth and at-least-half-full nodes by construction.
+    /// Bulk-builds a packed tree with Sort-Tile-Recursive packing: at each
+    /// level the points are sorted along the widest-spread axis and cut into
+    /// evenly sized runs of capacity `max^(h-1)`, which yields uniform leaf
+    /// depth and at-least-half-full nodes by construction.
     pub fn bulk(dim: usize, items: impl IntoIterator<Item = (Vec<f64>, T)>) -> Self {
-        assert!(dim > 0, "R-tree dimension must be positive");
-        let max = DEFAULT_MAX_ENTRIES;
-        let entries: Vec<Entry<T>> = items
+        let mut tree = Self::new(dim);
+        let entries = items
             .into_iter()
             .map(|(point, data)| {
                 assert_eq!(point.len(), dim, "point dimension mismatch");
                 Entry { point, data }
             })
             .collect();
-        let len = entries.len();
+        tree.pack_entries(entries);
+        tree
+    }
+
+    /// Re-packs the live entries with STR now, folding in every pending
+    /// insert and dropping every tombstone. Reads answer the same either
+    /// way; the tree also does this by itself once its pending run grows.
+    pub fn pack(&mut self) {
+        if !self.is_packed() {
+            let mut entries: Vec<Entry<T>> = std::mem::take(&mut self.slots)
+                .into_iter()
+                .flatten()
+                .collect();
+            entries.append(&mut self.pending);
+            self.pack_entries(entries);
+        }
+    }
+
+    /// Whether nothing is pending: no unpacked insert and no tombstone.
+    pub fn is_packed(&self) -> bool {
+        self.pending.is_empty() && self.tombstones == 0
+    }
+
+    fn pack_entries(&mut self, entries: Vec<Entry<T>>) {
+        self.len = entries.len();
+        self.nodes.clear();
+        self.slots = Vec::with_capacity(entries.len());
+        self.tombstones = 0;
+        self.pending.clear();
+        if entries.is_empty() {
+            return;
+        }
         // Smallest height whose capacity max^h covers every entry.
         let mut height = 1usize;
-        let mut cap = max;
-        while cap < len {
-            cap *= max;
+        let mut cap = self.max_entries;
+        while cap < entries.len() {
+            cap *= self.max_entries;
             height += 1;
         }
-        let root = str_build(entries, dim, max, height);
-        RTree {
-            repr: Repr::Arena(flatten(root, dim)),
-            dim,
-            max_entries: max,
-            min_entries: max / 2,
-            split: SplitAlgorithm::Quadratic,
-            len,
-        }
+        // An unfilled root; a zero-dimensional box does not allocate.
+        self.nodes.push(ArenaNode {
+            bbox: BoundingBox::empty(0),
+            start: 0,
+            end: 0,
+            leaf: true,
+        });
+        self.str_fill(0, entries, height);
     }
 
-    /// Seals the tree into its arena form: nodes move into one flat vector
-    /// (children contiguous, BFS order), entries into another, and every
-    /// read path switches to iterative index-range scans. Call once the
-    /// tree stops changing; a later [`RTree::insert`] / [`RTree::remove`]
-    /// transparently converts back (one O(n) rebuild, shape preserved).
-    pub fn optimize(&mut self) {
-        if let Repr::Dynamic(root) = &mut self.repr {
-            let root = std::mem::replace(root, Node::Leaf(Vec::new()));
-            self.repr = Repr::Arena(flatten(root, self.dim));
-        }
+    /// Sort-Tile-Recursive packing of `items` into node `idx` at an explicit
+    /// target height: sort along the widest-spread axis, cut into
+    /// `ceil(n / max^(height-1))` even runs, and recurse per run. Even cuts
+    /// keep every node at least half full and every leaf at the same depth
+    /// (see DESIGN.md §9).
+    fn str_fill(&mut self, idx: usize, mut items: Vec<Entry<T>>, height: usize) {
+        let mut bbox = BoundingBox::empty(self.dim);
+        let (start, end) = if height == 1 {
+            debug_assert!(items.len() <= self.max_entries);
+            for e in &items {
+                bbox.merge_point(&e.point);
+            }
+            let start = self.slots.len();
+            self.slots.extend(items.into_iter().map(Some));
+            (start, self.slots.len())
+        } else {
+            let n = items.len();
+            let children = n.div_ceil(self.max_entries.pow(height as u32 - 1));
+            debug_assert!((2..=self.max_entries).contains(&children));
+            let axis = widest_axis(&items, self.dim);
+            items.sort_by(|a, b| a.point[axis].total_cmp(&b.point[axis]));
+            let start = self.nodes.len();
+            // Node `idx` is still unfilled: clone it as the children's
+            // placeholders.
+            let unfilled = self.nodes[idx].clone();
+            self.nodes.resize(start + children, unfilled);
+            let mut iter = items.into_iter();
+            for i in 0..children {
+                let take = n / children + usize::from(i < n % children);
+                let group = iter.by_ref().take(take).collect();
+                self.str_fill(start + i, group, height - 1);
+                bbox.merge(&self.nodes[start + i].bbox);
+            }
+            (start, start + children)
+        };
+        let overflow = "R-tree arena index overflow";
+        self.nodes[idx] = ArenaNode {
+            bbox,
+            start: u32::try_from(start).expect(overflow),
+            end: u32::try_from(end).expect(overflow),
+            leaf: height == 1,
+        };
     }
 
-    /// Whether the tree is currently in its sealed (arena) form.
-    pub fn is_sealed(&self) -> bool {
-        matches!(self.repr, Repr::Arena(_))
+    /// The compaction rule: the tree re-packs once pending inserts plus
+    /// tombstones exceed `max(node capacity, live / 4)`. Reads scan the
+    /// pending run linearly, so this bounds the unindexed work to a quarter
+    /// of the tree; the re-pack cost amortizes over the writes that
+    /// triggered it.
+    fn pending_limit(&self) -> usize {
+        self.max_entries.max(self.len / 4)
     }
 
-    /// Converts a sealed tree back to the pointer form, preserving shape.
-    fn make_dynamic(&mut self) {
-        if let Repr::Arena(arena) = &mut self.repr {
-            let arena = std::mem::replace(
-                arena,
-                Arena {
-                    nodes: Vec::new(),
-                    entries: Vec::new(),
-                },
-            );
-            let mut slots: Vec<Option<Entry<T>>> = arena.entries.into_iter().map(Some).collect();
-            let root = if arena.nodes.is_empty() {
-                Node::Leaf(Vec::new())
-            } else {
-                unflatten(&arena.nodes, 0, &mut slots)
-            };
-            self.repr = Repr::Dynamic(root);
+    fn compact_if_due(&mut self) {
+        if self.pending.len() + self.tombstones > self.pending_limit() {
+            self.pack();
         }
     }
 
@@ -247,213 +225,98 @@ impl<T> RTree<T> {
         self.dim
     }
 
-    /// Height of the tree (a single leaf root has height 1).
+    /// Height of the packed arena (a single leaf root has height 1).
     pub fn height(&self) -> usize {
-        match &self.repr {
-            Repr::Dynamic(root) => {
-                let mut h = 1;
-                let mut node = root;
-                while let Node::Internal(children) = node {
-                    h += 1;
-                    node = &children[0].node;
-                }
-                h
-            }
-            Repr::Arena(a) => {
-                let mut h = 1;
-                let mut i = 0usize;
-                while !a.nodes.is_empty() && !a.nodes[i].leaf {
-                    h += 1;
-                    i = a.nodes[i].start as usize;
-                }
-                h
-            }
+        let mut h = 1;
+        let mut i = 0usize;
+        while !self.nodes.is_empty() && !self.nodes[i].leaf {
+            h += 1;
+            i = self.nodes[i].start as usize;
         }
-    }
-
-    /// The minimum bounding box of all stored points.
-    pub fn bbox(&self) -> BoundingBox {
-        match &self.repr {
-            Repr::Dynamic(root) => root.compute_bbox(self.dim),
-            Repr::Arena(a) => a
-                .nodes
-                .first()
-                .map(|n| n.bbox.clone())
-                .unwrap_or_else(|| BoundingBox::empty(self.dim)),
-        }
+        h
     }
 
     /// Rough in-memory footprint in bytes, used by the index-size
     /// experiments (Figs. 4b, 5b, 6b).
     pub fn size_bytes(&self) -> usize {
-        fn walk<T>(node: &Node<T>, dim: usize) -> usize {
-            match node {
-                Node::Leaf(entries) => {
-                    entries.len() * (dim * 8 + std::mem::size_of::<T>())
-                        + std::mem::size_of::<Node<T>>()
-                }
-                Node::Internal(children) => {
-                    children
-                        .iter()
-                        .map(|c| walk(&c.node, dim) + dim * 16)
-                        .sum::<usize>()
-                        + std::mem::size_of::<Node<T>>()
-                }
-            }
-        }
-        match &self.repr {
-            Repr::Dynamic(root) => walk(root, self.dim),
-            Repr::Arena(a) => {
-                a.nodes.len() * (std::mem::size_of::<ArenaNode>() + self.dim * 16)
-                    + a.entries.len() * (self.dim * 8 + std::mem::size_of::<T>())
-            }
-        }
+        self.nodes.len() * (std::mem::size_of::<ArenaNode>() + self.dim * 16)
+            + (self.slots.len() + self.pending.len()) * (self.dim * 8 + std::mem::size_of::<T>())
     }
 
-    /// Inserts a point with its payload.
+    /// Inserts a point with its payload into the pending run.
     ///
     /// # Panics
     /// Panics if the point's dimensionality does not match the tree's.
     pub fn insert(&mut self, point: Vec<f64>, data: T) {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.make_dynamic();
-        let max = self.max_entries;
-        let dim = self.dim;
-        let split = self.split;
-        let Repr::Dynamic(root) = &mut self.repr else {
-            unreachable!("make_dynamic left an arena repr");
-        };
-        if let Some((left, right)) = Self::insert_rec(root, Entry { point, data }, max, dim, split)
-        {
-            // Root split: grow the tree upward. The old root was emptied by
-            // `insert_rec` (its contents moved into the two halves).
-            *root = Node::Internal(vec![left, right]);
-        }
+        self.pending.push(Entry { point, data });
         self.len += 1;
+        self.compact_if_due();
     }
 
-    /// Recursive insert; returns `Some((a, b))` when the visited node split
-    /// and the parent must replace it with the two halves.
-    fn insert_rec(
-        node: &mut Node<T>,
-        entry: Entry<T>,
-        max: usize,
-        dim: usize,
-        algo: SplitAlgorithm,
-    ) -> Option<(Child<T>, Child<T>)> {
-        match node {
-            Node::Leaf(entries) => {
-                entries.push(entry);
-                if entries.len() > max {
-                    let (a, b) = split_leaf(std::mem::take(entries), dim, algo);
-                    Some((a, b))
-                } else {
-                    None
-                }
-            }
-            Node::Internal(children) => {
-                let idx = choose_subtree(children, &entry.point, dim);
-                let split = Self::insert_rec(&mut children[idx].node, entry, max, dim, algo);
-                match split {
-                    None => {
-                        // Tighten the MBR along the insertion path.
-                        children[idx].bbox = children[idx].node.compute_bbox(dim);
-                        None
-                    }
-                    Some((a, b)) => {
-                        children.swap_remove(idx);
-                        children.push(a);
-                        children.push(b);
-                        if children.len() > max {
-                            let (x, y) = split_internal(std::mem::take(children), dim, algo);
-                            Some((x, y))
-                        } else {
-                            None
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Removes one entry at `point` whose payload satisfies `pred`.
-    /// Returns the removed payload, or `None` if nothing matched.
+    /// Removes one entry at `point` whose payload satisfies `pred`: a
+    /// pending entry is dropped, a packed one tombstoned. Returns the
+    /// removed payload, or `None` if nothing matched.
     pub fn remove(&mut self, point: &[f64], pred: impl Fn(&T) -> bool) -> Option<T> {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.make_dynamic();
-        let dim = self.dim;
-        let min = self.min_entries;
-        let mut orphans: Vec<Entry<T>> = Vec::new();
-        let Repr::Dynamic(root) = &mut self.repr else {
-            unreachable!("make_dynamic left an arena repr");
+        let hit = |e: &Entry<T>| e.point == point && pred(&e.data);
+        let removed = if let Some(i) = self.pending.iter().position(hit) {
+            self.pending.swap_remove(i).data
+        } else {
+            let slot = self
+                .leaves(|b| b.contains_point(point))
+                .flatten()
+                .find(|&i| self.slots[i].as_ref().is_some_and(hit))?;
+            self.tombstones += 1;
+            self.slots[slot].take()?.data
         };
-        let removed = Self::remove_rec(root, point, &pred, dim, min, &mut orphans);
-        if removed.is_some() {
-            self.len -= 1;
-            // Shrink a root with a single internal child.
-            loop {
-                let Repr::Dynamic(root) = &mut self.repr else {
-                    unreachable!("remove never re-seals the tree");
-                };
-                match root {
-                    Node::Internal(children) if children.len() == 1 => {
-                        let only = children.pop().unwrap();
-                        *root = *only.node;
-                    }
-                    Node::Internal(children) if children.is_empty() => {
-                        *root = Node::Leaf(Vec::new());
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-            // Reinsert entries orphaned by condensing.
-            self.len -= orphans.len();
-            for e in orphans {
-                self.insert(e.point, e.data);
-            }
-        }
-        removed
+        self.len -= 1;
+        self.compact_if_due();
+        Some(removed)
     }
 
-    fn remove_rec(
-        node: &mut Node<T>,
-        point: &[f64],
-        pred: &impl Fn(&T) -> bool,
-        dim: usize,
-        min: usize,
-        orphans: &mut Vec<Entry<T>>,
-    ) -> Option<T> {
-        match node {
-            Node::Leaf(entries) => {
-                let pos = entries
-                    .iter()
-                    .position(|e| e.point == point && pred(&e.data))?;
-                Some(entries.swap_remove(pos).data)
+    /// Pruned depth-first walk of the packed arena: descends into children
+    /// whose bbox passes `enter` (the root is never tested) and yields each
+    /// surviving leaf's slot range, in child order.
+    fn leaves<'s, F: Fn(&BoundingBox) -> bool>(
+        &'s self,
+        enter: F,
+    ) -> impl Iterator<Item = Range<usize>> + use<'s, T, F> {
+        // The root is held outside the stack so that a single-leaf tree
+        // (every small ESE group) walks without allocating.
+        let mut root = (!self.nodes.is_empty()).then_some(0u32);
+        let mut stack: Vec<u32> = Vec::new();
+        std::iter::from_fn(move || loop {
+            let node = &self.nodes[root.take().or_else(|| stack.pop())? as usize];
+            if node.leaf {
+                return Some(node.start as usize..node.end as usize);
             }
-            Node::Internal(children) => {
-                let mut removed = None;
-                let mut hit_idx = None;
-                for (i, c) in children.iter_mut().enumerate() {
-                    if c.bbox.contains_point(point) {
-                        if let Some(data) =
-                            Self::remove_rec(&mut c.node, point, pred, dim, min, orphans)
-                        {
-                            removed = Some(data);
-                            hit_idx = Some(i);
-                            break;
-                        }
-                    }
+            for ci in (node.start..node.end).rev() {
+                if enter(&self.nodes[ci as usize].bbox) {
+                    stack.push(ci);
                 }
-                let i = hit_idx?;
-                if children[i].node.len() < min {
-                    // Condense: orphan the underfull subtree for reinsertion.
-                    let dead = children.swap_remove(i);
-                    collect_entries(*dead.node, orphans);
-                } else {
-                    children[i].bbox = children[i].node.compute_bbox(dim);
+            }
+        })
+    }
+
+    /// Visits every live entry whose point passes `keep`, packed leaves
+    /// first (pruned by `enter`), then the pending run.
+    fn visit_where<'a>(
+        &'a self,
+        enter: impl Fn(&BoundingBox) -> bool,
+        keep: impl Fn(&[f64]) -> bool,
+        visit: &mut impl FnMut(&'a Entry<T>),
+    ) {
+        for range in self.leaves(enter) {
+            for e in self.slots[range].iter().flatten() {
+                if keep(&e.point) {
+                    visit(e);
                 }
-                removed
+            }
+        }
+        for e in &self.pending {
+            if keep(&e.point) {
+                visit(e);
             }
         }
     }
@@ -467,41 +330,11 @@ impl<T> RTree<T> {
 
     /// Visitor-style window query (no intermediate allocation).
     pub fn visit_box<'a>(&'a self, window: &BoundingBox, visit: &mut impl FnMut(&'a Entry<T>)) {
-        fn rec<'a, T>(
-            node: &'a Node<T>,
-            window: &BoundingBox,
-            visit: &mut impl FnMut(&'a Entry<T>),
-        ) {
-            match node {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if window.contains_point(&e.point) {
-                            visit(e);
-                        }
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in children {
-                        if window.intersects(&c.bbox) {
-                            rec(&c.node, window, visit);
-                        }
-                    }
-                }
-            }
-        }
-        match &self.repr {
-            Repr::Dynamic(root) => rec(root, window, visit),
-            Repr::Arena(a) => {
-                a.visit_where(
-                    |bbox| window.intersects(bbox),
-                    |e| {
-                        if window.contains_point(&e.point) {
-                            visit(e);
-                        }
-                    },
-                );
-            }
-        }
+        self.visit_where(
+            |b| window.intersects(b),
+            |p| window.contains_point(p),
+            visit,
+        );
     }
 
     /// Collects every entry inside the affected subspace described by
@@ -514,37 +347,7 @@ impl<T> RTree<T> {
 
     /// Visitor-style affected-subspace query.
     pub fn visit_slab<'a>(&'a self, slab: &Slab, visit: &mut impl FnMut(&'a Entry<T>)) {
-        fn rec<'a, T>(node: &'a Node<T>, slab: &Slab, visit: &mut impl FnMut(&'a Entry<T>)) {
-            match node {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if slab.contains(&e.point) {
-                            visit(e);
-                        }
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in children {
-                        if !c.bbox.disjoint_from_slab(slab) {
-                            rec(&c.node, slab, visit);
-                        }
-                    }
-                }
-            }
-        }
-        match &self.repr {
-            Repr::Dynamic(root) => rec(root, slab, visit),
-            Repr::Arena(a) => {
-                a.visit_where(
-                    |bbox| !bbox.disjoint_from_slab(slab),
-                    |e| {
-                        if slab.contains(&e.point) {
-                            visit(e);
-                        }
-                    },
-                );
-            }
-        }
+        self.visit_where(|b| !b.disjoint_from_slab(slab), |p| slab.contains(p), visit);
     }
 
     /// Tolerance-widened affected-subspace query: entries within `tol` of
@@ -556,46 +359,16 @@ impl<T> RTree<T> {
         tol: f64,
         visit: &mut impl FnMut(&'a Entry<T>),
     ) {
-        fn rec<'a, T>(
-            node: &'a Node<T>,
-            slab: &Slab,
-            tol: f64,
-            visit: &mut impl FnMut(&'a Entry<T>),
-        ) {
-            match node {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if slab.contains_tol(&e.point, tol) {
-                            visit(e);
-                        }
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in children {
-                        if !c.bbox.disjoint_from_slab_tol(slab, tol) {
-                            rec(&c.node, slab, tol, visit);
-                        }
-                    }
-                }
-            }
-        }
-        match &self.repr {
-            Repr::Dynamic(root) => rec(root, slab, tol, visit),
-            Repr::Arena(a) => {
-                a.visit_where(
-                    |bbox| !bbox.disjoint_from_slab_tol(slab, tol),
-                    |e| {
-                        if slab.contains_tol(&e.point, tol) {
-                            visit(e);
-                        }
-                    },
-                );
-            }
-        }
+        self.visit_where(
+            |b| !b.disjoint_from_slab_tol(slab, tol),
+            |p| slab.contains_tol(p, tol),
+            visit,
+        );
     }
 
     /// The `k` entries nearest to `q` by Euclidean distance, closest first.
-    /// Returns fewer than `k` when the tree is smaller.
+    /// Returns fewer than `k` when the tree is smaller. The order among
+    /// exactly equal distances is unspecified.
     pub fn nearest_k(&self, q: &[f64], k: usize) -> Vec<(&Entry<T>, f64)> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         if k == 0 || self.is_empty() {
@@ -603,8 +376,7 @@ impl<T> RTree<T> {
         }
         // Best-first search over nodes and entries ordered by min distance.
         enum Item<'a, T> {
-            Node(&'a Node<T>),
-            ArenaNode(&'a Arena<T>, u32),
+            Node(u32),
             Entry(&'a Entry<T>),
         }
         struct Pq<'a, T> {
@@ -629,20 +401,19 @@ impl<T> RTree<T> {
             }
         }
 
-        let mut heap: BinaryHeap<Pq<'_, T>> = BinaryHeap::new();
-        match &self.repr {
-            Repr::Dynamic(root) => heap.push(Pq {
-                dist: 0.0,
-                item: Item::Node(root),
-            }),
-            Repr::Arena(a) => {
-                if !a.nodes.is_empty() {
-                    heap.push(Pq {
-                        dist: 0.0,
-                        item: Item::ArenaNode(a, 0),
-                    });
-                }
+        fn entry<'a, T>(q: &[f64], e: &'a Entry<T>) -> Pq<'a, T> {
+            Pq {
+                dist: iq_geometry::vector::dist_sq(q, &e.point),
+                item: Item::Entry(e),
             }
+        }
+
+        let mut heap: BinaryHeap<Pq<'_, T>> = self.pending.iter().map(|e| entry(q, e)).collect();
+        if !self.nodes.is_empty() {
+            heap.push(Pq {
+                dist: 0.0,
+                item: Item::Node(0),
+            });
         }
         let mut out = Vec::with_capacity(k);
         while let Some(Pq { dist, item }) = heap.pop() {
@@ -653,38 +424,16 @@ impl<T> RTree<T> {
                         break;
                     }
                 }
-                Item::Node(Node::Leaf(entries)) => {
-                    for e in entries {
-                        let d = iq_geometry::vector::dist_sq(q, &e.point);
-                        heap.push(Pq {
-                            dist: d,
-                            item: Item::Entry(e),
-                        });
-                    }
-                }
-                Item::Node(Node::Internal(children)) => {
-                    for c in children {
-                        heap.push(Pq {
-                            dist: c.bbox.min_dist_sq(q),
-                            item: Item::Node(&c.node),
-                        });
-                    }
-                }
-                Item::ArenaNode(a, i) => {
-                    let node = &a.nodes[i as usize];
+                Item::Node(i) => {
+                    let node = &self.nodes[i as usize];
                     if node.leaf {
-                        for e in &a.entries[node.start as usize..node.end as usize] {
-                            let d = iq_geometry::vector::dist_sq(q, &e.point);
-                            heap.push(Pq {
-                                dist: d,
-                                item: Item::Entry(e),
-                            });
-                        }
+                        let live = self.slots[node.start as usize..node.end as usize].iter();
+                        heap.extend(live.flatten().map(|e| entry(q, e)));
                     } else {
                         for ci in node.start..node.end {
                             heap.push(Pq {
-                                dist: a.nodes[ci as usize].bbox.min_dist_sq(q),
-                                item: Item::ArenaNode(a, ci),
+                                dist: self.nodes[ci as usize].bbox.min_dist_sq(q),
+                                item: Item::Node(ci),
                             });
                         }
                     }
@@ -694,243 +443,94 @@ impl<T> RTree<T> {
         out
     }
 
-    /// Iterates over every stored entry (arbitrary order).
+    /// Iterates over every live entry: packed leaves in order, then the
+    /// pending run.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<T>> {
-        let mut stack: Vec<&Node<T>> = Vec::new();
-        let mut arena_entries: &[Entry<T>] = &[];
-        match &self.repr {
-            Repr::Dynamic(root) => stack.push(root),
-            Repr::Arena(a) => arena_entries = &a.entries,
-        }
-        arena_entries.iter().chain(
-            std::iter::from_fn(move || loop {
-                let node = stack.pop()?;
-                match node {
-                    Node::Leaf(entries) => return Some(entries),
-                    Node::Internal(children) => {
-                        for c in children {
-                            stack.push(&c.node);
-                        }
-                    }
-                }
-            })
-            .flatten(),
-        )
+        self.slots.iter().flatten().chain(&self.pending)
     }
 
     /// Structural invariant checks, used by tests: MBRs cover children,
-    /// leaves at uniform depth, node occupancy within bounds.
+    /// leaves at uniform depth, node occupancy within bounds, the live,
+    /// tombstone and pending counts agree with the stored ones, and the
+    /// compaction rule holds.
     pub fn check_invariants(&self) -> Result<(), String> {
+        // Returns (slot count, actual bbox of live entries) so parents can
+        // verify their stored MBR covers the contents.
         fn rec<T>(
-            node: &Node<T>,
-            dim: usize,
-            max: usize,
-            min: usize,
-            is_root: bool,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-        ) -> Result<usize, String> {
-            match node {
-                Node::Leaf(entries) => {
-                    match leaf_depth {
-                        Some(d) if *d != depth => {
-                            return Err(format!("leaf at depth {depth}, expected {d}"))
-                        }
-                        None => *leaf_depth = Some(depth),
-                        _ => {}
-                    }
-                    if !is_root && entries.len() < min {
-                        return Err(format!("leaf underfull: {} < {min}", entries.len()));
-                    }
-                    if entries.len() > max {
-                        return Err(format!("leaf overfull: {} > {max}", entries.len()));
-                    }
-                    Ok(entries.len())
-                }
-                Node::Internal(children) => {
-                    if children.is_empty() {
-                        return Err("empty internal node".into());
-                    }
-                    if !is_root && children.len() < min {
-                        return Err(format!("internal underfull: {} < {min}", children.len()));
-                    }
-                    if children.len() > max {
-                        return Err(format!("internal overfull: {} > {max}", children.len()));
-                    }
-                    let mut total = 0;
-                    for c in children {
-                        let actual = c.node.compute_bbox(dim);
-                        if !c.bbox.contains_box(&actual) {
-                            return Err("MBR does not cover child".into());
-                        }
-                        total += rec(&c.node, dim, max, min, false, depth + 1, leaf_depth)?;
-                    }
-                    Ok(total)
-                }
-            }
-        }
-        // Same checks over the arena form; returns (entry count, actual
-        // bbox) so parents can verify their stored MBR covers the contents.
-        fn rec_arena<T>(
-            a: &Arena<T>,
+            t: &RTree<T>,
             idx: usize,
-            dim: usize,
-            max: usize,
-            min: usize,
             depth: usize,
             leaf_depth: &mut Option<usize>,
         ) -> Result<(usize, BoundingBox), String> {
-            // Index 0 is always the root in the BFS layout.
-            let is_root = idx == 0;
-            let node = &a.nodes[idx];
-            let mut actual = BoundingBox::empty(dim);
+            let node = &t.nodes[idx];
+            let n = (node.end - node.start) as usize;
+            // Index 0 is the root, exempt from the minimum fill.
+            if idx != 0 && n < t.max_entries / 2 {
+                return Err(format!("node underfull: {n} < {}", t.max_entries / 2));
+            }
+            if n > t.max_entries {
+                return Err(format!("node overfull: {n} > {}", t.max_entries));
+            }
+            let mut actual = BoundingBox::empty(t.dim);
             if node.leaf {
                 match leaf_depth {
                     Some(d) if *d != depth => {
                         return Err(format!("leaf at depth {depth}, expected {d}"))
                     }
-                    None => *leaf_depth = Some(depth),
-                    _ => {}
+                    _ => *leaf_depth = Some(depth),
                 }
-                let n = (node.end - node.start) as usize;
-                if !is_root && n < min {
-                    return Err(format!("leaf underfull: {n} < {min}"));
-                }
-                if n > max {
-                    return Err(format!("leaf overfull: {n} > {max}"));
-                }
-                for e in &a.entries[node.start as usize..node.end as usize] {
+                for e in t.slots[node.start as usize..node.end as usize]
+                    .iter()
+                    .flatten()
+                {
                     actual.merge_point(&e.point);
                 }
-                Ok((n, actual))
-            } else {
-                let n = (node.end - node.start) as usize;
-                if n == 0 {
-                    return Err("empty internal node".into());
-                }
-                if !is_root && n < min {
-                    return Err(format!("internal underfull: {n} < {min}"));
-                }
-                if n > max {
-                    return Err(format!("internal overfull: {n} > {max}"));
-                }
-                let mut total = 0;
-                for ci in node.start..node.end {
-                    let (count, child_actual) =
-                        rec_arena(a, ci as usize, dim, max, min, depth + 1, leaf_depth)?;
-                    if !a.nodes[ci as usize].bbox.contains_box(&child_actual) {
-                        return Err("MBR does not cover child".into());
-                    }
-                    total += count;
-                    actual.merge(&child_actual);
-                }
-                Ok((total, actual))
+                return Ok((n, actual));
             }
+            if n == 0 {
+                return Err("empty internal node".into());
+            }
+            let mut total = 0;
+            for ci in node.start..node.end {
+                let (count, child) = rec(t, ci as usize, depth + 1, leaf_depth)?;
+                if !t.nodes[ci as usize].bbox.contains_box(&child) {
+                    return Err("MBR does not cover child".into());
+                }
+                total += count;
+                actual.merge(&child);
+            }
+            Ok((total, actual))
         }
-        let mut leaf_depth = None;
-        let total = match &self.repr {
-            Repr::Dynamic(root) => rec(
-                root,
-                self.dim,
-                self.max_entries,
-                self.min_entries,
-                true,
-                0,
-                &mut leaf_depth,
-            )?,
-            Repr::Arena(a) => {
-                if a.nodes.is_empty() {
-                    return Err("arena without a root node".into());
-                }
-                let (total, actual) = rec_arena(
-                    a,
-                    0,
-                    self.dim,
-                    self.max_entries,
-                    self.min_entries,
-                    0,
-                    &mut leaf_depth,
-                )?;
-                if !a.nodes[0].bbox.contains_box(&actual) {
-                    return Err("root MBR does not cover contents".into());
-                }
-                total
+        if let Some(root) = self.nodes.first() {
+            let (slots, actual) = rec(self, 0, 0, &mut None)?;
+            if slots != self.slots.len() {
+                return Err(format!(
+                    "leaves cover {slots} of {} slots",
+                    self.slots.len()
+                ));
             }
-        };
-        if total != self.len {
+            if !root.bbox.contains_box(&actual) {
+                return Err("root MBR does not cover contents".into());
+            }
+        } else if !self.slots.is_empty() {
+            return Err("packed slots without a root node".into());
+        }
+        let dead = self.slots.iter().filter(|s| s.is_none()).count();
+        if dead != self.tombstones {
             return Err(format!(
-                "len mismatch: counted {total}, stored {}",
-                self.len
+                "tombstones: counted {dead}, stored {}",
+                self.tombstones
             ));
+        }
+        let live = self.slots.len() - dead + self.pending.len();
+        if live != self.len {
+            return Err(format!("len mismatch: counted {live}, stored {}", self.len));
+        }
+        if self.pending.len() + self.tombstones > self.pending_limit() {
+            return Err("pending run past the compaction rule".into());
         }
         Ok(())
     }
-}
-
-impl<T> Arena<T> {
-    /// Iterative pruned traversal shared by the box and slab scans: descend
-    /// into children whose bbox passes `enter` (the root is never tested,
-    /// matching the recursive path), and hand every entry of each surviving
-    /// leaf to `leaf_visit`. Children are pushed in reverse so pop order
-    /// equals child order — the visit sequence is exactly the recursion's.
-    fn visit_where<'a>(
-        &'a self,
-        enter: impl Fn(&BoundingBox) -> bool,
-        mut leaf_visit: impl FnMut(&'a Entry<T>),
-    ) {
-        if self.nodes.is_empty() {
-            return;
-        }
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(i) = stack.pop() {
-            let node = &self.nodes[i as usize];
-            if node.leaf {
-                for e in &self.entries[node.start as usize..node.end as usize] {
-                    leaf_visit(e);
-                }
-            } else {
-                for ci in (node.start..node.end).rev() {
-                    if enter(&self.nodes[ci as usize].bbox) {
-                        stack.push(ci);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Sort-Tile-Recursive packing to an explicit target height: sort along the
-/// widest-spread axis, cut into `ceil(n / max^(height-1))` even runs, and
-/// recurse per run. Even cuts keep every node at least half full and every
-/// leaf at the same depth (see DESIGN.md §9).
-fn str_build<T>(mut items: Vec<Entry<T>>, dim: usize, max: usize, height: usize) -> Node<T> {
-    if height == 1 {
-        debug_assert!(items.len() <= max);
-        return Node::Leaf(items);
-    }
-    let n = items.len();
-    let cap = max.pow(height as u32 - 1);
-    let children_count = n.div_ceil(cap);
-    debug_assert!((2..=max).contains(&children_count));
-
-    let axis = widest_axis(&items, dim);
-    items.sort_by(|a, b| a.point[axis].total_cmp(&b.point[axis]));
-
-    let base = n / children_count;
-    let rem = n % children_count;
-    let mut children = Vec::with_capacity(children_count);
-    let mut iter = items.into_iter();
-    for i in 0..children_count {
-        let take = base + usize::from(i < rem);
-        let group: Vec<Entry<T>> = iter.by_ref().take(take).collect();
-        let node = str_build(group, dim, max, height - 1);
-        let bbox = node.compute_bbox(dim);
-        children.push(Child {
-            bbox,
-            node: Box::new(node),
-        });
-    }
-    Node::Internal(children)
 }
 
 /// The axis with the largest coordinate spread (ties to the lowest axis).
@@ -949,344 +549,6 @@ fn widest_axis<T>(items: &[Entry<T>], dim: usize) -> usize {
         }
     }
     best
-}
-
-/// Flattens a pointer tree into the arena form, BFS order: a node's
-/// children are contiguous in `nodes`, a leaf's entries contiguous in
-/// `entries` (level order puts leaf runs in left-to-right scan order).
-fn flatten<T>(root: Node<T>, dim: usize) -> Arena<T> {
-    let root_bbox = root.compute_bbox(dim);
-    let mut nodes: Vec<ArenaNode> = vec![ArenaNode {
-        bbox: root_bbox,
-        start: 0,
-        end: 0,
-        leaf: true,
-    }];
-    let mut entries: Vec<Entry<T>> = Vec::new();
-    let mut queue: std::collections::VecDeque<(usize, Node<T>)> = std::collections::VecDeque::new();
-    queue.push_back((0, root));
-    while let Some((idx, node)) = queue.pop_front() {
-        match node {
-            Node::Leaf(es) => {
-                nodes[idx].leaf = true;
-                nodes[idx].start = u32::try_from(entries.len()).expect("arena entry overflow");
-                entries.extend(es);
-                nodes[idx].end = u32::try_from(entries.len()).expect("arena entry overflow");
-            }
-            Node::Internal(children) => {
-                let start = u32::try_from(nodes.len()).expect("arena node overflow");
-                nodes[idx].leaf = false;
-                nodes[idx].start = start;
-                nodes[idx].end = start + children.len() as u32;
-                for c in children {
-                    let ci = nodes.len();
-                    nodes.push(ArenaNode {
-                        bbox: c.bbox,
-                        start: 0,
-                        end: 0,
-                        leaf: true,
-                    });
-                    queue.push_back((ci, *c.node));
-                }
-            }
-        }
-    }
-    Arena { nodes, entries }
-}
-
-/// Rebuilds the pointer form of an arena subtree, moving entries out of
-/// `slots` (shape is preserved exactly, so all structural invariants carry
-/// over to the dynamic form).
-fn unflatten<T>(nodes: &[ArenaNode], idx: usize, slots: &mut [Option<Entry<T>>]) -> Node<T> {
-    let node = &nodes[idx];
-    if node.leaf {
-        Node::Leaf(
-            (node.start..node.end)
-                .map(|i| slots[i as usize].take().expect("entry moved twice"))
-                .collect(),
-        )
-    } else {
-        Node::Internal(
-            (node.start..node.end)
-                .map(|ci| Child {
-                    bbox: nodes[ci as usize].bbox.clone(),
-                    node: Box::new(unflatten(nodes, ci as usize, slots)),
-                })
-                .collect(),
-        )
-    }
-}
-
-fn collect_entries<T>(node: Node<T>, out: &mut Vec<Entry<T>>) {
-    match node {
-        Node::Leaf(entries) => out.extend(entries),
-        Node::Internal(children) => {
-            for c in children {
-                collect_entries(*c.node, out);
-            }
-        }
-    }
-}
-
-/// Guttman's least-enlargement subtree choice (volume, then smaller box,
-/// then fewer children as tie-breakers).
-fn choose_subtree<T>(children: &[Child<T>], point: &[f64], _dim: usize) -> usize {
-    let mut best = 0;
-    let mut best_enl = f64::INFINITY;
-    let mut best_vol = f64::INFINITY;
-    for (i, c) in children.iter().enumerate() {
-        let pb = BoundingBox::point(point);
-        let enl = c.bbox.enlargement(&pb);
-        let vol = c.bbox.volume();
-        if enl < best_enl || (enl == best_enl && vol < best_vol) {
-            best = i;
-            best_enl = enl;
-            best_vol = vol;
-        }
-    }
-    best
-}
-
-/// Quadratic pick-seeds: the pair whose combined box wastes the most space.
-fn pick_seeds(boxes: &[BoundingBox]) -> (usize, usize) {
-    let mut best = (0, 1);
-    let mut worst_waste = f64::NEG_INFINITY;
-    for i in 0..boxes.len() {
-        for j in (i + 1)..boxes.len() {
-            let waste = boxes[i].merged(&boxes[j]).volume() - boxes[i].volume() - boxes[j].volume();
-            if waste > worst_waste {
-                worst_waste = waste;
-                best = (i, j);
-            }
-        }
-    }
-    best
-}
-
-/// Quadratic split shared by leaves and internal nodes: distributes `items`
-/// (with precomputed boxes) into two groups, each ending up with at least
-/// `items.len() / 2` entries rounded down to the node minimum so neither
-/// half violates the fill invariant.
-fn quadratic_split<I>(
-    items: Vec<(BoundingBox, I)>,
-    dim: usize,
-) -> (Vec<I>, BoundingBox, Vec<I>, BoundingBox) {
-    debug_assert!(items.len() >= 2);
-    // Splitting an overflowing node of max+1 items: each half must reach the
-    // minimum fill of max/2, which equals items.len()/2 rounded down.
-    let min_fill = items.len() / 2;
-    let boxes: Vec<BoundingBox> = items.iter().map(|(b, _)| b.clone()).collect();
-    let (s1, s2) = pick_seeds(&boxes);
-
-    let mut g1: Vec<I> = Vec::new();
-    let mut g2: Vec<I> = Vec::new();
-    let mut b1 = BoundingBox::empty(dim);
-    let mut b2 = BoundingBox::empty(dim);
-
-    let mut rest: Vec<(BoundingBox, I)> = Vec::new();
-    for (i, (bx, item)) in items.into_iter().enumerate() {
-        if i == s1 {
-            b1.merge(&bx);
-            g1.push(item);
-        } else if i == s2 {
-            b2.merge(&bx);
-            g2.push(item);
-        } else {
-            rest.push((bx, item));
-        }
-    }
-
-    while !rest.is_empty() {
-        // Force-assign the remainder when one group otherwise cannot reach
-        // the minimum fill.
-        if g1.len() + rest.len() == min_fill {
-            for (bx, item) in rest.drain(..) {
-                b1.merge(&bx);
-                g1.push(item);
-            }
-            break;
-        }
-        if g2.len() + rest.len() == min_fill {
-            for (bx, item) in rest.drain(..) {
-                b2.merge(&bx);
-                g2.push(item);
-            }
-            break;
-        }
-        // Pick-next: the item with the strongest group preference.
-        let mut best = 0;
-        let mut best_diff = f64::NEG_INFINITY;
-        for (i, (bx, _)) in rest.iter().enumerate() {
-            let diff = (b1.enlargement(bx) - b2.enlargement(bx)).abs();
-            if diff > best_diff {
-                best_diff = diff;
-                best = i;
-            }
-        }
-        let (bx, item) = rest.swap_remove(best);
-        let d1 = b1.enlargement(&bx);
-        let d2 = b2.enlargement(&bx);
-        let to_g1 = d1 < d2
-            || (d1 == d2 && b1.volume() < b2.volume())
-            || (d1 == d2 && b1.volume() == b2.volume() && g1.len() <= g2.len());
-        if to_g1 {
-            b1.merge(&bx);
-            g1.push(item);
-        } else {
-            b2.merge(&bx);
-            g2.push(item);
-        }
-    }
-    (g1, b1, g2, b2)
-}
-
-fn split_items<I>(
-    items: Vec<(BoundingBox, I)>,
-    dim: usize,
-    algo: SplitAlgorithm,
-) -> (Vec<I>, BoundingBox, Vec<I>, BoundingBox) {
-    match algo {
-        SplitAlgorithm::Quadratic => quadratic_split(items, dim),
-        SplitAlgorithm::RStar => rstar_split(items, dim),
-    }
-}
-
-fn split_leaf<T>(entries: Vec<Entry<T>>, dim: usize, algo: SplitAlgorithm) -> (Child<T>, Child<T>) {
-    let items: Vec<(BoundingBox, Entry<T>)> = entries
-        .into_iter()
-        .map(|e| (BoundingBox::point(&e.point), e))
-        .collect();
-    let (g1, b1, g2, b2) = split_items(items, dim, algo);
-    (
-        Child {
-            bbox: b1,
-            node: Box::new(Node::Leaf(g1)),
-        },
-        Child {
-            bbox: b2,
-            node: Box::new(Node::Leaf(g2)),
-        },
-    )
-}
-
-fn split_internal<T>(
-    children: Vec<Child<T>>,
-    dim: usize,
-    algo: SplitAlgorithm,
-) -> (Child<T>, Child<T>) {
-    let items: Vec<(BoundingBox, Child<T>)> =
-        children.into_iter().map(|c| (c.bbox.clone(), c)).collect();
-    let (g1, b1, g2, b2) = split_items(items, dim, algo);
-    (
-        Child {
-            bbox: b1,
-            node: Box::new(Node::Internal(g1)),
-        },
-        Child {
-            bbox: b2,
-            node: Box::new(Node::Internal(g2)),
-        },
-    )
-}
-
-/// The R*-tree topological split: pick the axis whose sorted distributions
-/// have the smallest total margin, then the distribution with the least
-/// overlap between the two halves (ties broken by combined volume).
-fn rstar_split<I>(
-    mut items: Vec<(BoundingBox, I)>,
-    dim: usize,
-) -> (Vec<I>, BoundingBox, Vec<I>, BoundingBox) {
-    debug_assert!(items.len() >= 2);
-    let min_fill = (items.len() / 2).max(1);
-    let n = items.len();
-
-    // Evaluate every axis by total margin over its candidate distributions.
-    let mut best_axis = 0;
-    let mut best_margin = f64::INFINITY;
-    for axis in 0..dim {
-        items.sort_by(|a, b| {
-            a.0.lo()[axis]
-                .total_cmp(&b.0.lo()[axis])
-                .then(a.0.hi()[axis].total_cmp(&b.0.hi()[axis]))
-        });
-        let (prefixes, suffixes) = sweep_boxes(&items, dim);
-        let mut margin_sum = 0.0;
-        for k in min_fill..=(n - min_fill) {
-            margin_sum += prefixes[k].margin() + suffixes[k].margin();
-        }
-        if margin_sum < best_margin {
-            best_margin = margin_sum;
-            best_axis = axis;
-        }
-    }
-
-    // Re-sort along the chosen axis and pick the min-overlap distribution.
-    items.sort_by(|a, b| {
-        a.0.lo()[best_axis]
-            .total_cmp(&b.0.lo()[best_axis])
-            .then(a.0.hi()[best_axis].total_cmp(&b.0.hi()[best_axis]))
-    });
-    let (prefixes, suffixes) = sweep_boxes(&items, dim);
-    let mut best_k = min_fill;
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for k in min_fill..=(n - min_fill) {
-        let overlap = box_overlap(&prefixes[k], &suffixes[k]);
-        let volume = prefixes[k].volume() + suffixes[k].volume();
-        if (overlap, volume) < best_key {
-            best_key = (overlap, volume);
-            best_k = k;
-        }
-    }
-
-    let b1 = prefixes[best_k].clone();
-    let b2 = suffixes[best_k].clone();
-    let mut g1 = Vec::with_capacity(best_k);
-    let mut g2 = Vec::with_capacity(n - best_k);
-    for (i, (_, item)) in items.into_iter().enumerate() {
-        if i < best_k {
-            g1.push(item);
-        } else {
-            g2.push(item);
-        }
-    }
-    (g1, b1, g2, b2)
-}
-
-/// Cumulative bounding boxes of every prefix and suffix of `items`;
-/// `prefixes[k]` covers items `0..k`, `suffixes[k]` covers `k..n`.
-fn sweep_boxes<I>(items: &[(BoundingBox, I)], dim: usize) -> (Vec<BoundingBox>, Vec<BoundingBox>) {
-    let n = items.len();
-    let mut prefixes = Vec::with_capacity(n + 1);
-    prefixes.push(BoundingBox::empty(dim));
-    for (b, _) in items {
-        let mut next = prefixes.last().unwrap().clone();
-        next.merge(b);
-        prefixes.push(next);
-    }
-    let mut suffixes = vec![BoundingBox::empty(dim); n + 1];
-    for i in (0..n).rev() {
-        let mut b = suffixes[i + 1].clone();
-        b.merge(&items[i].0);
-        suffixes[i] = b;
-    }
-    (prefixes, suffixes)
-}
-
-/// Volume of the intersection of two boxes (zero when disjoint or empty).
-fn box_overlap(a: &BoundingBox, b: &BoundingBox) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut v = 1.0;
-    for i in 0..a.dim() {
-        let lo = a.lo()[i].max(b.lo()[i]);
-        let hi = a.hi()[i].min(b.hi()[i]);
-        if hi <= lo {
-            return 0.0;
-        }
-        v *= hi - lo;
-    }
-    v
 }
 
 #[cfg(test)]
@@ -1437,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_condense() {
+    fn remove_half_keeps_survivors() {
         let mut rnd = lcg(42);
         let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
         let mut t = RTree::new(2);
@@ -1505,71 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn rstar_split_matches_naive_search() {
-        let mut rnd = lcg(31);
-        let pts: Vec<Vec<f64>> = (0..400).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
-        let mut t = RTree::with_split(2, 8, SplitAlgorithm::RStar);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
-        }
-        t.check_invariants().unwrap();
-        assert_eq!(t.split_algorithm(), SplitAlgorithm::RStar);
-        for trial in 0..10 {
-            let lo = vec![rnd() * 8.0, rnd() * 8.0];
-            let hi: Vec<f64> = lo.iter().map(|l| l + rnd() * 3.0).collect();
-            let w = BoundingBox::new(lo, hi);
-            let mut got: Vec<usize> = t.search_box(&w).iter().map(|e| e.data).collect();
-            got.sort_unstable();
-            let mut want: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| w.contains_point(p))
-                .map(|(i, _)| i)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "rstar window trial {trial}");
-        }
-    }
-
-    #[test]
-    fn rstar_remove_keeps_invariants() {
-        let mut rnd = lcg(77);
-        let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd(), rnd(), rnd()]).collect();
-        let mut t = RTree::with_split(3, 6, SplitAlgorithm::RStar);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
-        }
-        for (i, p) in pts.iter().enumerate().take(150) {
-            assert_eq!(t.remove(p, |&d| d == i), Some(i));
-        }
-        assert_eq!(t.len(), 50);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn rstar_produces_lower_overlap_on_skewed_data() {
-        // Clustered data is where R*'s overlap-minimizing split shines;
-        // verify both trees are correct and the R* tree's internal overlap
-        // is no worse (structural smoke check via total child-box volume).
-        let mut rnd = lcg(8);
-        let pts: Vec<Vec<f64>> = (0..600)
-            .map(|_| {
-                let cx = if rnd() < 0.5 { 0.2 } else { 0.8 };
-                vec![cx + rnd() * 0.05, cx + rnd() * 0.05]
-            })
-            .collect();
-        let mut quad = RTree::with_split(2, 8, SplitAlgorithm::Quadratic);
-        let mut star = RTree::with_split(2, 8, SplitAlgorithm::RStar);
-        for (i, p) in pts.iter().enumerate() {
-            quad.insert(p.clone(), i);
-            star.insert(p.clone(), i);
-        }
-        quad.check_invariants().unwrap();
-        star.check_invariants().unwrap();
-        assert_eq!(quad.len(), star.len());
-    }
-
-    #[test]
     fn size_bytes_monotone() {
         let mut t = RTree::new(3);
         let empty = t.size_bytes();
@@ -1580,12 +777,12 @@ mod tests {
     }
 
     #[test]
-    fn bulk_is_sealed_and_well_formed() {
+    fn bulk_is_packed_and_well_formed() {
         for n in [0usize, 1, 5, 16, 17, 100, 257, 1000] {
             let mut rnd = lcg(n as u64 + 3);
             let pts: Vec<Vec<f64>> = (0..n).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
             let t = RTree::bulk(2, pts.iter().cloned().zip(0..n));
-            assert!(t.is_sealed(), "n = {n}");
+            assert!(t.is_packed(), "n = {n}");
             assert_eq!(t.len(), n);
             t.check_invariants()
                 .unwrap_or_else(|e| panic!("bulk n = {n}: {e}"));
@@ -1637,78 +834,35 @@ mod tests {
     }
 
     #[test]
-    fn optimize_preserves_every_read_path() {
-        let mut rnd = lcg(17);
-        let pts: Vec<Vec<f64>> = (0..300)
-            .map(|_| vec![rnd() * 4.0, rnd() * 4.0, rnd() * 4.0])
-            .collect();
-        let mut dynamic = RTree::new(3);
-        for (i, p) in pts.iter().enumerate() {
-            dynamic.insert(p.clone(), i);
-        }
-        let mut sealed = dynamic.clone();
-        sealed.optimize();
-        assert!(sealed.is_sealed() && !dynamic.is_sealed());
-        sealed.check_invariants().unwrap();
-        assert_eq!(sealed.len(), dynamic.len());
-        assert_eq!(sealed.height(), dynamic.height());
-        assert_eq!(sealed.bbox().lo(), dynamic.bbox().lo());
-        assert_eq!(sealed.bbox().hi(), dynamic.bbox().hi());
-        // Sealing preserves the tree shape, so pruned scans must visit the
-        // same entries in the same order, not merely the same set.
-        for trial in 0..10 {
-            let p = Vector::from([rnd() * 4.0, rnd() * 4.0, rnd() * 4.0]);
-            let o = Vector::from([rnd() * 4.0, rnd() * 4.0, rnd() * 4.0]);
-            let s = Vector::from([rnd() - 0.5, rnd() - 0.5, rnd() - 0.5]);
-            let Some(slab) = Slab::affected_subspace(&p, &o, &s) else {
-                continue;
-            };
-            let a: Vec<usize> = dynamic.search_slab(&slab).iter().map(|e| e.data).collect();
-            let b: Vec<usize> = sealed.search_slab(&slab).iter().map(|e| e.data).collect();
-            assert_eq!(a, b, "slab visit order trial {trial}");
-            let a: Vec<usize> = dynamic
-                .nearest_k(p.as_slice(), 7)
-                .iter()
-                .map(|(e, _)| e.data)
-                .collect();
-            let b: Vec<usize> = sealed
-                .nearest_k(p.as_slice(), 7)
-                .iter()
-                .map(|(e, _)| e.data)
-                .collect();
-            assert_eq!(a, b, "knn trial {trial}");
-        }
-    }
-
-    #[test]
-    fn mutating_a_sealed_tree_unseals_once_and_stays_correct() {
+    fn pending_and_tombstones_compact_under_the_rule() {
         let mut rnd = lcg(23);
         let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
         let mut t = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
-        assert!(t.is_sealed());
+        // Below max(16, 200 / 4) = 50 the writes stay pending.
         t.insert(vec![5.0, 5.0], 999);
-        assert!(!t.is_sealed());
-        assert_eq!(t.len(), 201);
+        assert_eq!(t.remove(&pts[0], |&d| d == 0), Some(0));
+        assert!(!t.is_packed());
+        assert_eq!(t.len(), 200);
         t.check_invariants().unwrap();
         assert_eq!(t.remove(&[5.0, 5.0], |&d| d == 999), Some(999));
-        assert_eq!(t.remove(&pts[0], |&d| d == 0), Some(0));
-        t.check_invariants().unwrap();
+        for (i, p) in pts.iter().enumerate().skip(1).take(60) {
+            assert_eq!(t.remove(p, |&d| d == i), Some(i));
+            t.check_invariants().unwrap();
+        }
         let everything = BoundingBox::new(vec![-1.0, -1.0], vec![11.0, 11.0]);
         let mut left: Vec<usize> = t.search_box(&everything).iter().map(|e| e.data).collect();
         left.sort_unstable();
-        assert_eq!(left, (1..200).collect::<Vec<_>>());
-        // Re-seal and verify the survivors again through the arena path.
-        t.optimize();
+        assert_eq!(left, (61..200).collect::<Vec<_>>());
+        t.pack();
+        assert!(t.is_packed());
         t.check_invariants().unwrap();
-        let mut left: Vec<usize> = t.search_box(&everything).iter().map(|e| e.data).collect();
-        left.sort_unstable();
-        assert_eq!(left, (1..200).collect::<Vec<_>>());
+        assert_eq!(t.iter().count(), 139);
     }
 
     #[test]
     fn bulk_empty_and_degenerate() {
         let t: RTree<u32> = RTree::bulk(2, Vec::new());
-        assert!(t.is_empty() && t.is_sealed());
+        assert!(t.is_empty() && t.is_packed());
         assert_eq!(t.height(), 1);
         t.check_invariants().unwrap();
         assert!(t.nearest_k(&[0.0, 0.0], 3).is_empty());

@@ -81,11 +81,13 @@ fn rtree_queries_are_stable_under_concurrent_readers() {
 fn grouped_forest_is_stable_under_concurrent_readers() {
     let dim = 2;
     let mut rnd = lcg(7);
-    let mut grouped = GroupedQueryIndex::new(dim);
-    for qi in 0..400 {
-        let group = (rnd() * 10.0) as usize;
-        grouped.insert(group, (0..dim).map(|_| rnd()).collect(), qi);
-    }
+    let items: Vec<(usize, Vec<f64>, usize)> = (0..400)
+        .map(|qi| {
+            let group = (rnd() * 10.0) as usize;
+            (group, (0..dim).map(|_| rnd()).collect(), qi)
+        })
+        .collect();
+    let grouped = GroupedQueryIndex::build(dim, items);
 
     let slab = sample_slab(dim, &mut rnd);
     let groups: Vec<usize> = grouped.group_keys().collect();

@@ -19,16 +19,15 @@ fn lcg(seed: u64) -> impl FnMut() -> f64 {
 
 fn build() -> GroupedQueryIndex {
     let mut rng = lcg(7);
-    let mut idx = GroupedQueryIndex::new(3);
     // Spread entries over enough groups that a hash-ordered map would be
     // (overwhelmingly) unlikely to enumerate them in ascending order.
-    for payload in 0..200 {
-        let group = (rng() * 40.0) as usize;
-        let point = vec![rng(), rng(), rng()];
-        idx.insert(group, point, payload);
-    }
-    idx.seal();
-    idx
+    let items: Vec<(usize, Vec<f64>, usize)> = (0..200)
+        .map(|payload| {
+            let group = (rng() * 40.0) as usize;
+            (group, vec![rng(), rng(), rng()], payload)
+        })
+        .collect();
+    GroupedQueryIndex::build(3, items)
 }
 
 #[test]

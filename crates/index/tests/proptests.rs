@@ -1,5 +1,6 @@
-//! Property-based tests: the R-tree and grouped index must behave exactly
-//! like a naive list of points under arbitrary insert/remove interleavings.
+//! Property-based tests: the R-tree must behave exactly like a naive list of
+//! points under arbitrary insert/remove interleavings, and the grouped index
+//! like a naive per-group filter.
 
 use iq_geometry::{BoundingBox, Hyperplane, Slab, Vector};
 use iq_index::{BloomFilter, GroupedQueryIndex, RTree};
@@ -125,10 +126,10 @@ proptest! {
         let Some(slab) = Slab::affected_subspace(&pv, &ov, &sv) else {
             return Ok(());
         };
-        let mut idx = GroupedQueryIndex::new(2);
-        for (i, (g, q)) in items.iter().enumerate() {
-            idx.insert(*g, q.clone(), i);
-        }
+        let idx = GroupedQueryIndex::build(
+            2,
+            items.iter().enumerate().map(|(i, (g, q))| (*g, q.clone(), i)),
+        );
         for g in 0..4 {
             let mut got = idx.search_slab(g, &slab);
             got.sort_unstable();
@@ -155,12 +156,12 @@ proptest! {
     }
 
     /// The tolerance-widened slab scan must report a superset of the plain
-    /// scan (every affected query plus every boundary-tied one), through
-    /// both the pointer-chasing and the sealed arena read paths. The
-    /// lattice coordinates make exact boundary ties common, so the widened
-    /// set is regularly a *strict* superset here.
+    /// scan (every affected query plus every boundary-tied one), on a tree
+    /// grown by inserts (a packed arena plus a pending run) and on a
+    /// bulk-packed one. The lattice coordinates make exact boundary ties
+    /// common, so the widened set is regularly a *strict* superset here.
     #[test]
-    fn slab_tol_is_superset_on_dynamic_and_arena(
+    fn slab_tol_is_superset_on_pending_and_packed(
         pts in prop::collection::vec(point(2), 1..100),
         p in point(2), o in point(2), s in point(2),
         tol_steps in 0usize..3,
@@ -172,19 +173,16 @@ proptest! {
         let Some(slab) = Slab::affected_subspace(&pv, &ov, &sv) else {
             return Ok(());
         };
-        let mut dynamic: RTree<usize> = RTree::with_capacity(2, 4);
-        for (i, q) in pts.iter().enumerate() {
-            dynamic.insert(q.clone(), i);
-        }
-        let arena = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
-        prop_assert!(arena.is_sealed() && !dynamic.is_sealed());
+        let pending = inserted(&pts);
+        let packed = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+        prop_assert!(packed.is_packed());
         let want_widened: BTreeSet<usize> = pts
             .iter()
             .enumerate()
             .filter(|(_, q)| slab.contains_tol(q, tol))
             .map(|(i, _)| i)
             .collect();
-        for (name, tree) in [("dynamic", &dynamic), ("arena", &arena)] {
+        for (name, tree) in [("pending", &pending), ("packed", &packed)] {
             let mut plain = BTreeSet::new();
             tree.visit_slab(&slab, &mut |e| {
                 plain.insert(e.data);
@@ -193,15 +191,100 @@ proptest! {
             tree.visit_slab_tol(&slab, tol, &mut |e| {
                 widened.insert(e.data);
             });
-            prop_assert!(widened.is_superset(&plain), "{} repr lost entries", name);
-            prop_assert_eq!(&widened, &want_widened, "{} repr vs naive tol filter", name);
+            prop_assert!(widened.is_superset(&plain), "{} tree lost entries", name);
+            prop_assert_eq!(&widened, &want_widened, "{} tree vs naive tol filter", name);
+        }
+    }
+
+    /// Random insert/remove interleavings that cross the compaction rule
+    /// many times, on a tree grown from empty (node capacity 4) and on one
+    /// bulk-packed from `seed`. After every step each read path answers as
+    /// a naive list of the live entries: window, slab and widened slab
+    /// sets, kNN distances, `len` and the `iter` set.
+    #[test]
+    fn pending_and_tombstones_answer_like_a_naive_list(
+        seed in prop::collection::vec(point(2), 0..40),
+        ops in ops(2),
+        window in (point(2), point(2)),
+        slab in (point(2), point(2), point(2)),
+        q in point(2),
+        k in 1usize..8,
+    ) {
+        let lo: Vec<f64> = window.0.iter().zip(&window.1).map(|(a, b)| a.min(*b)).collect();
+        let hi: Vec<f64> = window.0.iter().zip(&window.1).map(|(a, b)| a.max(*b)).collect();
+        let w = BoundingBox::new(lo, hi);
+        let slab = Slab::affected_subspace(
+            &Vector::new(slab.0),
+            &Vector::new(slab.1),
+            &Vector::new(slab.2),
+        );
+        let grown = inserted(&seed);
+        let packed = RTree::bulk(2, seed.iter().cloned().zip(0..seed.len()));
+        for mut tree in [grown, packed] {
+            let mut model: Vec<(Vec<f64>, usize)> = seed.iter().cloned().zip(0..).collect();
+            let mut next_id = seed.len();
+            for op in &ops {
+                match op {
+                    Op::Insert(p) => {
+                        tree.insert(p.clone(), next_id);
+                        model.push((p.clone(), next_id));
+                        next_id += 1;
+                    }
+                    Op::Remove(i) => {
+                        if !model.is_empty() {
+                            let (p, d) = model.swap_remove(i % model.len());
+                            prop_assert_eq!(tree.remove(&p, |&x| x == d), Some(d));
+                        }
+                    }
+                }
+                tree.check_invariants().map_err(TestCaseError::fail)?;
+                prop_assert_eq!(tree.len(), model.len());
+                let ids = |filter: &dyn Fn(&[f64]) -> bool| -> BTreeSet<usize> {
+                    model.iter().filter(|(p, _)| filter(p)).map(|(_, d)| *d).collect()
+                };
+                let got: BTreeSet<usize> = tree.iter().map(|e| e.data).collect();
+                prop_assert_eq!(got, ids(&|_| true));
+                let got: BTreeSet<usize> = tree.search_box(&w).iter().map(|e| e.data).collect();
+                prop_assert_eq!(got, ids(&|p| w.contains_point(p)));
+                if let Some(slab) = &slab {
+                    let mut got = BTreeSet::new();
+                    tree.visit_slab(slab, &mut |e| {
+                        got.insert(e.data);
+                    });
+                    prop_assert_eq!(got, ids(&|p| slab.contains(p)));
+                    let mut got = BTreeSet::new();
+                    tree.visit_slab_tol(slab, 0.25, &mut |e| {
+                        got.insert(e.data);
+                    });
+                    prop_assert_eq!(got, ids(&|p| slab.contains_tol(p, 0.25)));
+                }
+                let got: Vec<f64> = tree.nearest_k(&q, k).iter().map(|(_, d)| *d).collect();
+                let mut want: Vec<f64> = model
+                    .iter()
+                    .map(|(p, _)| iq_geometry::vector::dist(&q, p))
+                    .collect();
+                want.sort_by(|a, b| a.total_cmp(b));
+                want.truncate(k);
+                prop_assert_eq!(got, want);
+            }
         }
     }
 }
 
+/// A tree grown by one insert per point from empty, with node capacity 4 so
+/// that small inputs already cross the compaction rule and leave both a
+/// multi-level packed arena and a pending run behind.
+fn inserted(pts: &[Vec<f64>]) -> RTree<usize> {
+    let mut tree = RTree::with_capacity(2, 4);
+    for (i, p) in pts.iter().enumerate() {
+        tree.insert(p.clone(), i);
+    }
+    tree
+}
+
 /// Deterministic boundary-tie instance where the widened scan must be a
 /// *strict* superset: one point inside the slab, one within `tol` outside
-/// each boundary, one far away — on both tree representations.
+/// each boundary, one far away — on a grown and a bulk-packed tree.
 #[test]
 fn slab_tol_strictly_wider_on_engineered_boundary_ties() {
     let slab = Slab::new(
@@ -214,12 +297,10 @@ fn slab_tol_strictly_wider_on_engineered_boundary_ties() {
         vec![-0.2, 0.0], // 0.2 past the `before` boundary
         vec![3.0, 0.0],  // far outside: must stay excluded
     ];
-    let mut dynamic: RTree<usize> = RTree::with_capacity(2, 4);
-    for (i, q) in pts.iter().enumerate() {
-        dynamic.insert(q.clone(), i);
-    }
-    let arena = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
-    for (name, tree) in [("dynamic", &dynamic), ("arena", &arena)] {
+    let pending = inserted(&pts);
+    assert!(!pending.is_packed());
+    let packed = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+    for (name, tree) in [("pending", &pending), ("packed", &packed)] {
         let mut plain = BTreeSet::new();
         tree.visit_slab(&slab, &mut |e| {
             plain.insert(e.data);

@@ -4,9 +4,9 @@
 //! Concurrency model:
 //!
 //! * **Readers** (`SELECT`, `SHOW TABLES`, read-only `IMPROVE`) run under
-//!   the `RwLock`'s shared mode — any number side by side. They see a
-//!   *sealed snapshot*: between writes the catalog is immutable and every
-//!   cached [`Prepared`] index is in its sealed (arena) read form.
+//!   the `RwLock`'s shared mode — any number side by side. They see an
+//!   immutable snapshot: between writes neither the catalog nor any
+//!   cached [`Prepared`] index changes.
 //! * **Writers** (everything else) take the exclusive mode, so writes are
 //!   totally ordered — the write log records that order, and the
 //!   serializability tests replay it against a fresh single-threaded
@@ -14,12 +14,12 @@
 //!
 //! Cache discipline: a write that INSERTs into a cached pair's query or
 //! object table goes through the *incremental* update path
-//! (`iq_core::update::{add_query, add_object}`) and then re-seals the
-//! index — the unseal is counted in [`Metrics::index_unseals`], never
-//! silent. Any other shape of write (UPDATE/DELETE/DROP/CREATE/COPY on a
-//! cached table, or an INSERT the incremental path cannot absorb, e.g.
-//! `k ≥ K'`) drops the cache entry instead; correctness never depends on
-//! the incremental path applying.
+//! (`iq_core::update::{add_query, add_object}`); the query R-tree takes
+//! the insert into its pending run and re-packs itself under its own
+//! compaction rule. Any other shape of write (UPDATE/DELETE/DROP/CREATE/
+//! COPY on a cached table, or an INSERT the incremental path cannot
+//! absorb, e.g. `k ≥ K'`) drops the cache entry instead; correctness never
+//! depends on the incremental path applying.
 //!
 //! Determinism: a cached index and a freshly built one answer IMPROVE
 //! byte-identically (same toplists ⇒ same subdomains ⇒ same candidate
@@ -446,14 +446,6 @@ impl Engine {
                 absorb_object_rows(&mut prepared, rows)
             };
             if absorbed {
-                // The incremental inserts unsealed the query R-tree;
-                // re-seal so readers stay on the arena fast path, and
-                // count the event (the seal-state guard's contract:
-                // writes against a sealed index are never silent).
-                if !prepared.index.is_sealed() {
-                    self.metrics.index_unseals.fetch_add(1, Ordering::Relaxed);
-                    prepared.index.seal();
-                }
                 st.cache.insert(key, prepared);
             } else {
                 self.metrics
@@ -620,7 +612,6 @@ mod tests {
         // Absorbable insert: small k, correct shape.
         e.execute_sql("INSERT INTO queries VALUES (0.4, 0.6, 1)")
             .unwrap();
-        assert_eq!(e.metrics().index_unseals.load(Ordering::Relaxed), 1);
         assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 0);
         // The cached index must now answer exactly like a fresh build.
         let cached = e.execute_line(IMPROVE);

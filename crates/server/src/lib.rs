@@ -9,8 +9,7 @@
 //!   without oversubscription ([`ExecPolicy::share_across`]);
 //! - snapshot reads: concurrent `SELECT` / `IMPROVE` readers share an
 //!   `RwLock` read guard plus a prepared-index cache, while writes
-//!   serialize through the incremental update path with index re-seal
-//!   ([`engine`]);
+//!   serialize through the incremental update path ([`engine`]);
 //! - bounded admission with backpressure, per-request deadlines, and a
 //!   graceful drain on `SHUTDOWN` ([`server`]);
 //! - embedded metrics — request counters, per-statement-kind latency

@@ -194,9 +194,6 @@ pub struct Metrics {
     pub cache_misses: AtomicU64,
     /// Cache entries dropped because a write touched their tables.
     pub cache_invalidations: AtomicU64,
-    /// Times a write unsealed a sealed query index (it is re-sealed
-    /// immediately; this counts the events, per the seal-state guard).
-    pub index_unseals: AtomicU64,
     /// WAL records appended (durable commit path; 0 without `--data-dir`).
     pub wal_appends: AtomicU64,
     /// Fsyncs issued by the WAL (group commit makes this ≤ appends).
@@ -294,10 +291,6 @@ impl Metrics {
         push(
             "cache_invalidations".into(),
             self.cache_invalidations.load(Ordering::Relaxed),
-        );
-        push(
-            "index_unseals".into(),
-            self.index_unseals.load(Ordering::Relaxed),
         );
         push(
             "wal_appends".into(),

@@ -9,7 +9,6 @@
 //!   the indexing comparator of Figs. 4 and 6;
 //! * [`rta`] — the reverse top-k Threshold Algorithm (Vlachou et al., TKDE
 //!   2011) behind the `RTA-IQ` baseline;
-//! * [`onion`] — the convex-layer Onion index (Chang et al., SIGMOD 2000);
 //! * [`reverse`] — naive reverse top-k and reverse k-ranks reference
 //!   queries.
 //!
@@ -19,14 +18,10 @@
 #![warn(missing_docs)]
 
 pub mod dominant_graph;
-pub mod max_rank;
 pub mod naive;
-pub mod onion;
 pub mod reverse;
 pub mod rta;
 
 pub use dominant_graph::DominantGraph;
-pub use max_rank::{max_rank_2d, max_rank_sampled, MaxRankResult};
 pub use naive::{score, top_k, TopKQuery};
-pub use onion::OnionIndex;
 pub use rta::RtaResult;

@@ -1,7 +1,7 @@
 //! Property-based tests: every top-k scheme must agree with the naive
 //! oracle on arbitrary data.
 
-use iq_topk::{dominant_graph::DominantGraph, naive, onion::OnionIndex, reverse, rta, TopKQuery};
+use iq_topk::{dominant_graph::DominantGraph, naive, reverse, rta, TopKQuery};
 use proptest::prelude::*;
 
 fn objects(d: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -19,12 +19,6 @@ proptest! {
     fn dominant_graph_equals_naive(objs in objects(3), w in weights(3), k in 1usize..8) {
         let dg = DominantGraph::build(&objs);
         prop_assert_eq!(dg.top_k(&objs, &w, k), naive::top_k(&objs, &w, k));
-    }
-
-    #[test]
-    fn onion_equals_naive(objs in objects(2), w in weights(2), k in 1usize..8) {
-        let idx = OnionIndex::build(&objs);
-        prop_assert_eq!(idx.top_k(&objs, &w, k), naive::top_k(&objs, &w, k));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Know where you stand before you improve: the §2 related-work queries —
-//! reverse top-k, reverse k-ranks, and maximum rank — side by side with an
-//! improvement query, showing why only the latter tells you *how to get
-//! better* (the paper's core argument).
+//! reverse top-k and reverse k-ranks — side by side with an improvement
+//! query, showing why only the latter tells you *how to get better* (the
+//! paper's core argument).
 //!
 //! Run with `cargo run --release --example rank_analytics`.
 
 use improvement_queries::prelude::*;
 use improvement_queries::topk::{
-    max_rank::max_rank_2d,
     reverse::{reverse_k_ranks, reverse_top_k_naive},
     rta,
 };
@@ -16,8 +15,7 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
-    // A 2-attribute market (price-deficit, quality-deficit) so the maximum
-    // rank query can run exactly.
+    // A 2-attribute market (price-deficit, quality-deficit).
     let objects: Vec<Vec<f64>> = (0..40).map(|_| vec![rng.gen(), rng.gen()]).collect();
     let queries: Vec<TopKQuery> = (0..100)
         .map(|_| TopKQuery::new(vec![rng.gen(), rng.gen()], 1 + rng.gen_range(0..5)))
@@ -44,13 +42,6 @@ fn main() {
     // --- Reverse k-ranks (Zhang et al.): our most winnable users. ---
     let nearest = reverse_k_ranks(&objects, &queries, target, 3);
     println!("reverse 3-ranks: best ranks among users: {nearest:?}");
-
-    // --- Maximum rank (Mouratidis et al.): best case over ALL utilities. ---
-    let mr = max_rank_2d(&objects, target);
-    println!(
-        "maximum rank:    even the friendliest utility only ranks us #{} (at weights {:?})",
-        mr.rank, mr.weights
-    );
 
     // None of the above says what to CHANGE. The improvement query does:
     let index = QueryIndex::build(&instance);

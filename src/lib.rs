@@ -36,11 +36,11 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] (`iq-core`) | the paper's contribution: subdomain index, ESE, Algorithms 3/4, multi-target, exact search, baselines, updates |
-//! | [`geometry`] (`iq-geometry`) | vectors, hyperplanes, affected-subspace slabs, BSP (Algorithm 1), plane sweep, hulls |
+//! | [`geometry`] (`iq-geometry`) | vectors, hyperplanes, affected-subspace slabs, BSP (Algorithm 1) |
 //! | [`index`] (`iq-index`) | R-tree, bloom filter, grouped query index |
 //! | [`solver`] (`iq-solver`) | simplex LP, min-norm projections, branch-and-bound |
 //! | [`expr`] (`iq-expr`) | utility-function parser, §5.2 linearization, §5.3 generic families |
-//! | [`topk`] (`iq-topk`) | naive top-k, Dominant Graph, RTA, Onion, reverse queries |
+//! | [`topk`] (`iq-topk`) | naive top-k, Dominant Graph, RTA, reverse queries |
 //! | [`workload`] (`iq-workload`) | IN/CO/AC synthetics, simulated VEHICLE/HOUSE, UN/CL queries |
 //! | [`dbms`] (`iq-dbms`) | SQL engine with the `IMPROVE` statement |
 //! | [`server`] (`iq-server`) | concurrent TCP serving layer over the SQL engine |
