@@ -422,16 +422,6 @@ impl<'a> TargetEvaluator<'a> {
         TargetEvaluator { ctx, cursor }
     }
 
-    /// Wraps an existing context/cursor pair.
-    pub fn from_parts(ctx: EvalContext<'a>, cursor: EvalCursor) -> Self {
-        TargetEvaluator { ctx, cursor }
-    }
-
-    /// Splits back into the shared context and the scratch cursor.
-    pub fn into_parts(self) -> (EvalContext<'a>, EvalCursor) {
-        (self.ctx, self.cursor)
-    }
-
     /// The shared (read-only) half.
     pub fn context(&self) -> &EvalContext<'a> {
         &self.ctx
@@ -805,18 +795,5 @@ mod tests {
         ev.apply(&Vector::from([-0.2, 0.1, -0.1]));
         assert_eq!(fork.hit_count(), ev.hit_count());
         assert_eq!(fork.hits(), ev.hits());
-    }
-
-    #[test]
-    fn wrapper_round_trips_through_parts() {
-        let inst = random_instance(20, 30, 2, 3, 19);
-        let idx = QueryIndex::build(&inst);
-        let mut ev = TargetEvaluator::new(&inst, &idx, 2);
-        ev.apply(&Vector::from([-0.1, 0.05]));
-        let hits = ev.hit_count();
-        let (ctx, cursor) = ev.into_parts();
-        let ev2 = TargetEvaluator::from_parts(ctx, cursor);
-        assert_eq!(ev2.hit_count(), hits);
-        assert_eq!(ev2.applied().as_slice(), &[-0.1, 0.05]);
     }
 }

@@ -73,14 +73,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL comparison: NULL compares with nothing (returns `None`);
     /// numerics compare across INT/FLOAT; other types compare within kind.
     // SQL semantics: NULL (and NaN) are incomparable, so the Option from

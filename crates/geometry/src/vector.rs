@@ -105,12 +105,6 @@ impl Vector {
         &self.0
     }
 
-    /// Coordinates as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Consumes the vector, returning the raw coordinates.
     pub fn into_inner(self) -> Vec<f64> {
         self.0
@@ -149,13 +143,6 @@ impl Vector {
     /// Returns `self * t` without consuming `self`.
     pub fn scaled(&self, t: f64) -> Vector {
         Vector(self.0.iter().map(|x| x * t).collect())
-    }
-
-    /// Scales `self` in place by `t`.
-    pub fn scale_mut(&mut self, t: f64) {
-        for x in &mut self.0 {
-            *x *= t;
-        }
     }
 
     /// Unit vector in the direction of `self`, or `None` for the zero vector.

@@ -8,9 +8,10 @@
 //!   immutable snapshot: between writes neither the catalog nor any
 //!   cached [`Prepared`] index changes.
 //! * **Writers** (everything else) take the exclusive mode, so writes are
-//!   totally ordered — the write log records that order, and the
+//!   totally ordered. With a data dir the WAL records that order, and the
 //!   serializability tests replay it against a fresh single-threaded
-//!   session to prove the concurrent history equivalent.
+//!   session to prove the concurrent history equivalent. Without one the
+//!   engine keeps no history: nothing at runtime reads it.
 //!
 //! Cache discipline: a write that INSERTs into a cached pair's query or
 //! object table goes through the *incremental* update path
@@ -25,18 +26,18 @@
 //! byte-identically (same toplists ⇒ same subdomains ⇒ same candidate
 //! list — the repo-wide invariant), so caching shapes latency only.
 
-use crate::metrics::{Metrics, StatementKind};
+use crate::metrics::Metrics;
+use crate::protocol;
 use iq_core::update::{self, UpdateStats};
 use iq_core::{ExecPolicy, SearchOptions, TopKQuery};
 use iq_dbms::iqext::{self, Prepared};
 use iq_dbms::parser::{is_read_only, ImproveStmt, Statement};
-use iq_dbms::{error_json, outcome_json, parse, DbError, Outcome, QueryResult, Session, Value};
+use iq_dbms::{parse, DbError, Outcome, QueryResult, Session, Value};
 use iq_storage::{FsyncMode, Recovery, Storage, StorageConfig};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock};
 
 /// Cache key: lowercased `(object_table, query_table)`.
 type CacheKey = (String, String);
@@ -49,10 +50,6 @@ const SNAPSHOT_ROWS_PER_INSERT: usize = 128;
 struct EngineState {
     session: Session,
     cache: HashMap<CacheKey, Prepared>,
-    /// Write statements in commit order (the serial history). Spans the
-    /// engine's whole lifetime — checkpoints rotate the on-disk WAL but
-    /// never this log, so replay-determinism tests keep working.
-    write_log: Vec<String>,
     /// Durable storage, when the engine was opened with a data dir.
     storage: Option<Storage>,
 }
@@ -69,18 +66,6 @@ pub struct DurabilityConfig {
     pub checkpoint_bytes: Option<u64>,
 }
 
-/// A read guard over the committed write history — borrow, don't clone.
-/// Derefs to `[String]`; holding it blocks writers, so keep it short.
-pub struct WriteLogGuard<'a>(RwLockReadGuard<'a, EngineState>);
-
-impl Deref for WriteLogGuard<'_> {
-    type Target = [String];
-
-    fn deref(&self) -> &[String] {
-        &self.0.write_log
-    }
-}
-
 /// The concurrent engine shared by all server workers.
 pub struct Engine {
     state: RwLock<EngineState>,
@@ -95,7 +80,6 @@ impl Engine {
             state: RwLock::new(EngineState {
                 session: Session::new(),
                 cache: HashMap::new(),
-                write_log: Vec::new(),
                 storage: None,
             }),
             metrics,
@@ -110,12 +94,12 @@ impl Engine {
     /// table state from the latest snapshot plus the WAL tail, and appends
     /// every subsequent committed write to the WAL before acknowledging.
     ///
-    /// Recovery replays the recovered statements through a fresh session —
-    /// the same path the determinism tests use — so the post-recovery
-    /// state is byte-identical to replaying the surviving write-log prefix.
-    /// The recovered statements also seed [`Engine::write_log`], keeping
-    /// the replay invariant intact across restarts. Prepared indexes are
-    /// not persisted; they rebuild lazily on first IMPROVE.
+    /// Recovery replays the recovered statements (snapshot, then WAL tail)
+    /// through a fresh session — the same path the determinism tests use —
+    /// so the post-recovery state is byte-identical to replaying the
+    /// surviving WAL prefix. The returned [`Recovery`] carries those
+    /// statements: the committed history up to this open. Prepared indexes
+    /// are not persisted; they rebuild lazily on first IMPROVE.
     pub fn with_storage(
         metrics: Arc<Metrics>,
         exec: ExecPolicy,
@@ -149,7 +133,6 @@ impl Engine {
             state: RwLock::new(EngineState {
                 session,
                 cache: HashMap::new(),
-                write_log: recovery.statements.clone(),
                 storage: Some(storage),
             }),
             metrics,
@@ -171,17 +154,20 @@ impl Engine {
     /// metrics registry; `SHUTDOWN` is the *server's* business and is
     /// rejected here (the connection layer intercepts it first).
     pub fn execute_line(&self, sql: &str) -> String {
-        match self.execute_sql(sql) {
-            Ok(outcome) => outcome_json(&outcome),
-            Err(e) => error_json(&e),
-        }
+        protocol::response_line(self.execute_sql(sql))
     }
 
-    /// Executes one SQL statement with full classification, returning the
-    /// outcome. Records nothing in the metrics histograms — the caller
-    /// (worker or test) owns timing.
+    /// Parses and executes one SQL statement, returning the outcome.
+    /// Records nothing in the metrics histograms — the caller (worker or
+    /// test) owns timing.
     pub fn execute_sql(&self, sql: &str) -> Result<Outcome, DbError> {
         let stmt = parse(sql)?;
+        self.execute(stmt, sql)
+    }
+
+    /// Executes an already parsed statement. `sql` must be the text `stmt`
+    /// was parsed from: a committed write appends it to the WAL.
+    pub fn execute(&self, stmt: Statement, sql: &str) -> Result<Outcome, DbError> {
         match &stmt {
             Statement::ShowStats => Ok(Outcome::Rows(self.metrics.stats_result())),
             // SHOW WAL is read-only but answered from the storage handle,
@@ -236,21 +222,6 @@ impl Engine {
             columns: vec!["metric".into(), "value".into()],
             rows,
         }
-    }
-
-    /// Classifies one SQL line without executing it.
-    pub fn classify(sql: &str) -> StatementKind {
-        match parse(sql) {
-            Ok(stmt) => StatementKind::of(&stmt),
-            Err(_) => StatementKind::Invalid,
-        }
-    }
-
-    /// The committed write history, in commit order, borrowed behind the
-    /// state lock — no clone of the (possibly huge) log. Holding the
-    /// guard blocks writers; iterate and drop.
-    pub fn write_log(&self) -> WriteLogGuard<'_> {
-        WriteLogGuard(self.state.read().unwrap())
     }
 
     /// Renders every table as aligned text, in name order — a cheap state
@@ -325,14 +296,14 @@ impl Engine {
         }
     }
 
-    /// A write: exclusive lock, execute, maintain the cache, log.
+    /// A write: exclusive lock, execute, maintain the cache, commit.
     fn execute_write(&self, sql: &str, stmt: Statement) -> Result<Outcome, DbError> {
         let mut st = self.state.write().unwrap();
         let st = &mut *st;
 
         // CHECKPOINT is a storage operation, not a table write: snapshot
-        // the current state and rotate the WAL. It is neither WAL-logged
-        // nor write-logged — it changes no rows.
+        // the current state and rotate the WAL. It is not WAL-logged — it
+        // changes no rows.
         if matches!(stmt, Statement::Checkpoint) {
             if st.storage.is_none() {
                 return Err(DbError::Unsupported(
@@ -384,9 +355,8 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Commits an executed write: WAL append first (consuming `sql` by
-    /// reference — no clone until the in-memory log needs one), then the
-    /// in-memory log, then a size-triggered auto-checkpoint.
+    /// Commits an executed write: WAL append first, then a size-triggered
+    /// auto-checkpoint. Without a data dir there is nothing to commit to.
     ///
     /// Error policy: the statement already executed, so a WAL append
     /// failure leaves memory ahead of disk. The error is surfaced to the
@@ -402,7 +372,6 @@ impl Engine {
                 self.metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
             }
         }
-        st.write_log.push(sql.to_string());
         if st.storage.as_ref().is_some_and(Storage::should_checkpoint) {
             let _ = self.checkpoint_locked(st);
         }
@@ -569,17 +538,20 @@ fn absorb_object_rows(prepared: &mut Prepared, rows: &[Vec<Value>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iq_dbms::outcome_json;
+
+    const SEED: [&str; 4] = [
+        "CREATE TABLE objects (id INT, a1 FLOAT, a2 FLOAT)",
+        "INSERT INTO objects VALUES (0, 0.9, 0.8), (1, 0.2, 0.3), (2, 0.5, 0.5), \
+         (3, 0.7, 0.2), (4, 0.3, 0.9)",
+        "CREATE TABLE queries (w1 FLOAT, w2 FLOAT, k INT)",
+        "INSERT INTO queries VALUES (0.9, 0.1, 1), (0.5, 0.5, 2), (0.1, 0.9, 1), \
+         (0.7, 0.3, 1), (0.3, 0.7, 2), (0.6, 0.4, 1)",
+    ];
 
     fn engine() -> Engine {
         let e = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-        for sql in [
-            "CREATE TABLE objects (id INT, a1 FLOAT, a2 FLOAT)",
-            "INSERT INTO objects VALUES (0, 0.9, 0.8), (1, 0.2, 0.3), (2, 0.5, 0.5), \
-             (3, 0.7, 0.2), (4, 0.3, 0.9)",
-            "CREATE TABLE queries (w1 FLOAT, w2 FLOAT, k INT)",
-            "INSERT INTO queries VALUES (0.9, 0.1, 1), (0.5, 0.5, 2), (0.1, 0.9, 1), \
-             (0.7, 0.3, 1), (0.3, 0.7, 2), (0.6, 0.4, 1)",
-        ] {
+        for sql in SEED {
             e.execute_sql(sql).unwrap();
         }
         e
@@ -597,7 +569,7 @@ mod tests {
         assert_eq!(e.metrics().cache_hits.load(Ordering::Relaxed), 1);
         // A fresh session (no cache at all) agrees byte for byte.
         let mut s = Session::new();
-        for sql in e.write_log().iter() {
+        for sql in SEED {
             s.execute(sql).unwrap();
         }
         let fresh = outcome_json(&s.execute(IMPROVE).unwrap());
@@ -610,8 +582,8 @@ mod tests {
         e.execute_sql(IMPROVE).unwrap();
         assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 1);
         // Absorbable insert: small k, correct shape.
-        e.execute_sql("INSERT INTO queries VALUES (0.4, 0.6, 1)")
-            .unwrap();
+        let insert = "INSERT INTO queries VALUES (0.4, 0.6, 1)";
+        e.execute_sql(insert).unwrap();
         assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 0);
         // The cached index must now answer exactly like a fresh build.
         let cached = e.execute_line(IMPROVE);
@@ -621,7 +593,7 @@ mod tests {
             "still cached"
         );
         let fresh_engine = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-        for sql in e.write_log().iter() {
+        for sql in SEED.into_iter().chain([insert]) {
             fresh_engine.execute_sql(sql).unwrap();
         }
         assert_eq!(cached, fresh_engine.execute_line(IMPROVE));
@@ -630,21 +602,23 @@ mod tests {
     #[test]
     fn object_insert_absorbs_and_update_invalidates() {
         let e = engine();
+        let writes = [
+            "INSERT INTO objects VALUES (5, 0.1, 0.1)",
+            "UPDATE objects SET a1 = 0.95 WHERE id = 5",
+        ];
         e.execute_sql(IMPROVE).unwrap();
-        e.execute_sql("INSERT INTO objects VALUES (5, 0.1, 0.1)")
-            .unwrap();
+        e.execute_sql(writes[0]).unwrap();
         assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 0);
         let cached = e.execute_line(IMPROVE);
         // UPDATE cannot be absorbed: the entry is dropped, then rebuilt.
-        e.execute_sql("UPDATE objects SET a1 = 0.95 WHERE id = 5")
-            .unwrap();
+        e.execute_sql(writes[1]).unwrap();
         assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 1);
         let rebuilt = e.execute_line(IMPROVE);
         assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 2);
         // Different data ⇒ possibly different answer; both must equal a
         // from-scratch replay at their point in history.
         let replay = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-        for sql in e.write_log().iter() {
+        for sql in SEED.into_iter().chain(writes) {
             replay.execute_sql(sql).unwrap();
         }
         assert_eq!(rebuilt, replay.execute_line(IMPROVE));
@@ -699,28 +673,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn write_log_guard_derefs_without_cloning() {
-        let e = engine();
-        assert_eq!(e.write_log().len(), 4);
-        let first = e.write_log().first().cloned().unwrap();
-        assert!(first.starts_with("CREATE TABLE objects"));
-        // Two overlapping read guards coexist (shared mode).
-        let g1 = e.write_log();
-        let g2 = e.write_log();
-        assert_eq!(g1.len(), g2.len());
-    }
-
-    #[test]
-    fn write_log_records_only_writes() {
-        let e = engine();
-        e.execute_sql("SELECT id FROM objects WHERE id = 1")
-            .unwrap();
-        e.execute_sql(IMPROVE).unwrap();
-        assert_eq!(e.write_log().len(), 4, "only the 4 seed writes");
-        e.execute_sql("DELETE FROM objects WHERE id = 4").unwrap();
-        assert_eq!(e.write_log().len(), 5);
     }
 }

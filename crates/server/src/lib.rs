@@ -20,7 +20,8 @@
 //! subdomain always yields the identical ordered candidate list, a cached
 //! prepared index answers `IMPROVE` byte-identically to a fresh build,
 //! and any interleaving of concurrent writes is equivalent to its
-//! serialization order (recorded in the engine's write log).
+//! serialization order (recorded in the WAL when the engine has a data
+//! dir).
 //!
 //! See DESIGN.md §11 for the protocol grammar and lifecycle.
 
@@ -34,7 +35,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use engine::{DurabilityConfig, Engine, WriteLogGuard};
+pub use engine::{DurabilityConfig, Engine};
 pub use iq_storage::{FsyncMode, Recovery};
 pub use metrics::{Metrics, StatementKind};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -18,6 +18,7 @@
 //! (loadgen, tests) uses — hand-rolled against the known shapes, no JSON
 //! parser dependency.
 
+use iq_dbms::{error_json, outcome_json, DbError, Outcome};
 use std::time::Duration;
 
 /// Splits an optional `@<ms> ` deadline prefix off a request line.
@@ -32,6 +33,14 @@ pub fn parse_request(line: &str) -> (Option<Duration>, &str) {
     match num.parse::<u64>() {
         Ok(ms) => (Some(Duration::from_millis(ms)), sql),
         Err(_) => (None, line),
+    }
+}
+
+/// The response line for an executed statement's result.
+pub(crate) fn response_line(result: Result<Outcome, DbError>) -> String {
+    match result {
+        Ok(outcome) => outcome_json(&outcome),
+        Err(e) => error_json(&e),
     }
 }
 

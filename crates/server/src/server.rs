@@ -26,8 +26,9 @@
 //! programmatic handle are the two shutdown paths (see DESIGN.md §11).
 
 use crate::engine::Engine;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, StatementKind};
 use crate::protocol;
+use iq_dbms::{DbError, Statement};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,8 +62,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted request.
+/// One admitted request, parsed once by its connection. A parse error
+/// still goes through the queue, so a worker answers it under the same
+/// deadline, backpressure and metrics as any other request.
 struct Request {
+    stmt: Result<Statement, DbError>,
+    /// The text `stmt` was parsed from; a committed write appends it to
+    /// the WAL.
     sql: String,
     deadline: Option<Instant>,
     reply: mpsc::Sender<String>,
@@ -87,17 +93,18 @@ impl AdmissionQueue {
         }
     }
 
-    /// Admits a request, or returns it when the queue is full or closed.
-    fn try_push(&self, req: Request) -> Result<(), Request> {
+    /// Admits a request; false (dropping it) when the queue is full or
+    /// closed.
+    fn try_push(&self, req: Request) -> bool {
         let mut guard = self.inner.lock().unwrap();
         let (queue, closed) = &mut *guard;
         if *closed || queue.len() >= self.capacity {
-            return Err(req);
+            return false;
         }
         queue.push_back(req);
         self.metrics.set_queue_depth(queue.len() as u64);
         self.cv.notify_one();
-        Ok(())
+        true
     }
 
     /// Blocks for the next request; `None` once closed *and* drained —
@@ -192,9 +199,13 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
                     let _ = req.reply.send(protocol::timed_out_response());
                     continue;
                 }
-                let kind = Engine::classify(&req.sql);
+                let kind = req
+                    .stmt
+                    .as_ref()
+                    .map_or(StatementKind::Invalid, StatementKind::of);
                 let started = Instant::now();
-                let response = engine.execute_line(&req.sql);
+                let result = req.stmt.and_then(|stmt| engine.execute(stmt, &req.sql));
+                let response = protocol::response_line(result);
                 let micros = started.elapsed().as_micros() as u64;
                 metrics.record(kind, protocol::is_ok(&response), micros);
                 let _ = req.reply.send(response);
@@ -279,11 +290,12 @@ fn serve_connection(
             continue;
         }
         let (deadline_ms, sql) = protocol::parse_request(line);
+        let stmt = iq_dbms::parse(sql);
 
         // SHUTDOWN is the connection layer's statement: acknowledge, then
         // trip the flag. The acceptor notices, drains, and closing the
         // queue lets every worker exit.
-        if matches!(iq_dbms::parse(sql), Ok(iq_dbms::Statement::Shutdown)) {
+        if matches!(stmt, Ok(Statement::Shutdown)) {
             // Flag first, ack second: a client that has the ack in hand
             // must observe the server as already shutting down.
             shutdown.store(true, Ordering::SeqCst);
@@ -294,19 +306,19 @@ fn serve_connection(
         let deadline = deadline_ms.or(default_deadline).map(|d| Instant::now() + d);
         let (tx, rx) = mpsc::channel();
         let req = Request {
+            stmt,
             sql: sql.to_string(),
             deadline,
             reply: tx,
         };
-        let response = match queue.try_push(req) {
-            Ok(()) => match rx.recv() {
+        let response = if queue.try_push(req) {
+            match rx.recv() {
                 Ok(r) => r,
                 Err(_) => return, // workers gone (shutdown raced us)
-            },
-            Err(_) => {
-                queue.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                protocol::rejected_response()
             }
+        } else {
+            queue.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            protocol::rejected_response()
         };
         if writeln!(writer, "{response}").is_err() {
             return;
@@ -370,6 +382,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         (
             Request {
+                stmt: iq_dbms::parse("SELECT 1"),
                 sql: "SELECT 1".into(),
                 deadline: None,
                 reply: tx,
@@ -384,24 +397,24 @@ mod tests {
         let (r1, _rx1) = mk_request();
         let (r2, _rx2) = mk_request();
         let (r3, _rx3) = mk_request();
-        assert!(q.try_push(r1).is_ok());
-        assert!(q.try_push(r2).is_ok());
-        assert!(q.try_push(r3).is_err(), "third must bounce");
+        assert!(q.try_push(r1));
+        assert!(q.try_push(r2));
+        assert!(!q.try_push(r3), "third must bounce");
         assert_eq!(q.metrics.queue_high_water.load(Ordering::Relaxed), 2);
         // Popping frees a slot.
         assert!(q.pop().is_some());
         let (r4, _rx4) = mk_request();
-        assert!(q.try_push(r4).is_ok());
+        assert!(q.try_push(r4));
     }
 
     #[test]
     fn closed_queue_rejects_pushes_and_drains_pops() {
         let q = mk_queue(4);
         let (r1, _rx1) = mk_request();
-        assert!(q.try_push(r1).is_ok());
+        assert!(q.try_push(r1));
         q.close();
         let (r2, _rx2) = mk_request();
-        assert!(q.try_push(r2).is_err(), "closed rejects new work");
+        assert!(!q.try_push(r2), "closed rejects new work");
         assert!(q.pop().is_some(), "but queued work still drains");
         assert!(q.pop().is_none(), "then signals exhaustion");
     }

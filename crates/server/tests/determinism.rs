@@ -6,24 +6,75 @@
 //!    IMPROVE concurrently all receive byte-identical response lines,
 //!    equal to what a fresh single-threaded [`iq_dbms::Session`] renders.
 //! 2. **Write serializability** — any concurrent interleaving of writes
-//!    is equivalent to *some* serial order; the engine's write log records
-//!    that order, and replaying it through a fresh session reproduces the
-//!    exact final state.
+//!    is equivalent to *some* serial order; the WAL records that order,
+//!    and both an engine reopened on the data dir and a fresh session
+//!    replaying the recovered statements reproduce the exact final state,
+//!    also when auto-checkpoints rotate the WAL mid-history.
 
 use iq_core::ExecPolicy;
-use iq_server::{protocol, Client, Engine, Metrics, ServerConfig, ServerHandle};
+use iq_server::{
+    protocol, Client, DurabilityConfig, Engine, FsyncMode, Metrics, Recovery, ServerConfig,
+    ServerHandle,
+};
 use iq_workload::{seed_statements, standard_instance, Distribution, QueryDistribution};
 use iq_workload::{SqlStream, StatementMix};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn start_server(workers: usize) -> ServerHandle {
-    // share_across keeps worker-level concurrency honest even when the
-    // per-request ExecPolicy would itself fan out.
-    let exec = ExecPolicy::share_across(workers);
-    let engine = Arc::new(Engine::new(Arc::new(Metrics::new()), exec));
+/// A unique scratch data directory, removed on drop (kept on panic so a
+/// failed run leaves its WAL behind).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("iq_determinism_{tag}_{}_{n}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+/// A durable engine on `dir` without fsyncs: the tests never crash, they
+/// only reread the WAL after a clean drain.
+fn open_durable(dir: &Path, exec: ExecPolicy, checkpoint_bytes: Option<u64>) -> (Engine, Recovery) {
+    Engine::with_storage(
+        Arc::new(Metrics::new()),
+        exec,
+        DurabilityConfig {
+            data_dir: dir.to_path_buf(),
+            fsync: FsyncMode::Never,
+            checkpoint_bytes,
+        },
+    )
+    .expect("open durable engine")
+}
+
+/// Starts a server over a durable engine on a fresh `dir`. share_across
+/// keeps worker-level concurrency honest even when the per-request
+/// ExecPolicy would itself fan out.
+fn start_durable_server(dir: &Path, workers: usize, checkpoint_bytes: Option<u64>) -> ServerHandle {
+    let (engine, recovery) = open_durable(dir, ExecPolicy::share_across(workers), checkpoint_bytes);
+    assert!(recovery.statements.is_empty(), "fresh dir has no history");
+    start_on(engine, workers)
+}
+
+fn start_on(engine: Engine, workers: usize) -> ServerHandle {
     iq_server::start(
-        engine,
+        Arc::new(engine),
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers,
@@ -32,6 +83,24 @@ fn start_server(workers: usize) -> ServerHandle {
         },
     )
     .expect("bind")
+}
+
+/// Drains the server, then replays its committed history: returns the
+/// live tables, the tables of an engine reopened on `dir`, the tables of
+/// a fresh in-memory engine replaying the recovered statements, and the
+/// recovery itself.
+fn drain_and_replay(handle: ServerHandle, dir: &Path) -> (String, String, String, Recovery) {
+    let engine = Arc::clone(handle.engine());
+    handle.shutdown();
+    handle.join();
+    let live = engine.dump_tables();
+    drop(engine); // the last owner: closes the WAL before the reopen
+    let (reopened, recovery) = open_durable(dir, ExecPolicy::sequential(), None);
+    let replay = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
+    for sql in &recovery.statements {
+        replay.execute_sql(sql).unwrap();
+    }
+    (live, reopened.dump_tables(), replay.dump_tables(), recovery)
 }
 
 fn seed_sql() -> Vec<String> {
@@ -49,7 +118,8 @@ fn seed_sql() -> Vec<String> {
 
 #[test]
 fn concurrent_identical_improves_are_byte_identical() {
-    let handle = start_server(4);
+    let exec = ExecPolicy::share_across(4);
+    let handle = start_on(Engine::new(Arc::new(Metrics::new()), exec), 4);
     let mut seeder = Client::connect(handle.addr()).unwrap();
     let seed = seed_sql();
     for sql in &seed {
@@ -90,8 +160,9 @@ fn concurrent_identical_improves_are_byte_identical() {
 }
 
 #[test]
-fn interleaved_writes_serialize_to_the_write_log_order() {
-    let handle = start_server(4);
+fn interleaved_writes_serialize_to_the_wal_order() {
+    let tmp = TempDir::new("interleaved");
+    let handle = start_durable_server(&tmp.0, 4, None);
     let mut seeder = Client::connect(handle.addr()).unwrap();
     let seed = seed_sql();
     for sql in &seed {
@@ -137,43 +208,37 @@ fn interleaved_writes_serialize_to_the_write_log_order() {
         t.join().unwrap();
     }
 
-    // The write log is the serial history: replaying it through a fresh
-    // sequential session must reproduce the engine's exact table state.
-    let engine = Arc::clone(handle.engine());
-    let mut replay = iq_dbms::Session::new();
-    let replay_engine = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-    {
-        // Borrowed guard, not a clone; dropped before dump_tables below.
-        let log = engine.write_log();
-        assert!(log.len() >= seed.len(), "seed writes are in the log");
-        for sql in log.iter() {
-            replay.execute(sql).unwrap();
-            replay_engine.execute_sql(sql).unwrap();
-        }
-    }
+    // The WAL is the serial history: without checkpoints it holds every
+    // committed write, seed first, and replaying it must reproduce the
+    // engine's exact table state.
+    let (live, reopened, replayed, recovery) = drain_and_replay(handle, &tmp.0);
+    assert_eq!(recovery.snapshot_statements, 0);
+    assert_eq!(&recovery.statements[..seed.len()], &seed[..], "seed leads");
+    assert_eq!(reopened, live, "reopened engine differs from live state");
     assert_eq!(
-        engine.dump_tables(),
-        replay_engine.dump_tables(),
+        replayed, live,
         "concurrent history is not equivalent to its serialization"
     );
-
-    handle.shutdown();
-    handle.join();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random small workloads, random thread/worker shapes: the write-log
-    /// replay invariant must hold for all of them.
+    /// Random small workloads, random thread/worker shapes, with and
+    /// without WAL rotation: the WAL replay invariant must hold for all of
+    /// them. With 1 KiB auto-checkpoints the history crosses snapshot
+    /// rotations; the recovered generation witnesses that.
     #[test]
     fn random_mixed_workloads_serialize(
         workers in 1usize..4,
         clients in 1usize..4,
         per_client in 4usize..12,
         seed in 0u64..1000,
+        rotate in any::<bool>(),
     ) {
-        let handle = start_server(workers);
+        let tmp = TempDir::new("random");
+        let checkpoint_bytes = rotate.then_some(1024);
+        let handle = start_durable_server(&tmp.0, workers, checkpoint_bytes);
         let mut seeder = Client::connect(handle.addr()).unwrap();
         let instance = standard_instance(
             Distribution::Independent,
@@ -209,14 +274,10 @@ proptest! {
             t.join().unwrap();
         }
 
-        let engine = Arc::clone(handle.engine());
-        let replay = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-        for sql in engine.write_log().iter() {
-            replay.execute_sql(sql).unwrap();
-        }
-        prop_assert_eq!(engine.dump_tables(), replay.dump_tables());
-
-        handle.shutdown();
-        handle.join();
+        let (live, reopened, replayed, recovery) =
+            drain_and_replay(handle, &tmp.0);
+        prop_assert_eq!(recovery.generation > 0, rotate, "rotation witness");
+        prop_assert_eq!(&reopened, &live);
+        prop_assert_eq!(&replayed, &live);
     }
 }

@@ -1,9 +1,9 @@
 //! `iq-storage`: the durable storage layer under `iq-server`.
 //!
 //! Std-only (per the offline-dependency policy, DESIGN.md §10). The
-//! layer persists exactly what the engine's in-memory write log already
-//! records — committed write statements, in commit order — so recovery
-//! is the same operation as the replay-determinism invariant: feed the
+//! layer persists the engine's committed write statements, in commit
+//! order — its only record of that history — so recovery is the same
+//! operation as the replay-determinism invariant: feed the
 //! surviving statements through a fresh `Session` and you *are* the
 //! pre-crash state.
 //!

@@ -6,13 +6,11 @@
 //! every ranking is a total order.
 //!
 //! Two evaluation layouts are supported with bit-identical results: the
-//! nested `&[Vec<f64>]` functions ([`top_k`], [`full_ranking`],
-//! [`rank_of`]) and `_flat` variants over
-//! [`iq_geometry::matrix::FlatMatrix`] that score through the batched
-//! kernels into a caller-held scratch buffer. Both funnel into the same
-//! selection routines ([`top_k_from_scores`],
-//! [`full_ranking_from_scores`]), so the choice of layout can never change
-//! a ranking.
+//! nested `&[Vec<f64>]` functions ([`top_k`], [`kth_best_excluding`]) and
+//! their `_flat` variants over [`iq_geometry::matrix::FlatMatrix`], which
+//! score through the batched kernels. [`top_k`] and [`top_k_flat`] funnel
+//! into the same selection routine ([`top_k_from_scores`]), so the choice
+//! of layout can never change a ranking.
 
 use iq_geometry::matrix::FlatMatrix;
 use std::cmp::Ordering;
@@ -127,16 +125,6 @@ pub fn full_ranking(objects: &[Vec<f64>], weights: &[f64]) -> Vec<usize> {
     full_ranking_from_scores(&scores)
 }
 
-/// [`full_ranking`] over a flat matrix with a reusable scratch buffer.
-pub fn full_ranking_flat(
-    objects: &FlatMatrix,
-    weights: &[f64],
-    scratch: &mut Vec<f64>,
-) -> Vec<usize> {
-    objects.scores_into(weights, scratch);
-    full_ranking_from_scores(scratch)
-}
-
 /// Ranks every id of a score slice, best first.
 pub fn full_ranking_from_scores(scores: &[f64]) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..scores.len()).collect();
@@ -152,17 +140,6 @@ pub fn rank_of(objects: &[Vec<f64>], weights: &[f64], target: usize) -> usize {
         .enumerate()
         .filter(|&(i, o)| {
             i != target && rank_cmp(score(o, weights), i, ts, target) == std::cmp::Ordering::Less
-        })
-        .count()
-}
-
-/// [`rank_of`] over a flat matrix.
-pub fn rank_of_flat(objects: &FlatMatrix, weights: &[f64], target: usize) -> usize {
-    let ts = objects.dot_row(target, weights);
-    1 + (0..objects.rows())
-        .filter(|&i| {
-            i != target
-                && rank_cmp(objects.dot_row(i, weights), i, ts, target) == std::cmp::Ordering::Less
         })
         .count()
 }
@@ -295,15 +272,10 @@ mod tests {
         let m = FlatMatrix::from_rows(2, &o);
         let mut scratch = Vec::new();
         for w in [[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]] {
-            assert_eq!(
-                full_ranking_flat(&m, &w, &mut scratch),
-                full_ranking(&o, &w)
-            );
             for k in 0..=o.len() {
                 assert_eq!(top_k_flat(&m, &w, k, &mut scratch), top_k(&o, &w, k));
             }
             for t in 0..o.len() {
-                assert_eq!(rank_of_flat(&m, &w, t), rank_of(&o, &w, t));
                 for k in 1..=o.len() {
                     assert_eq!(
                         kth_best_excluding_flat(&m, &w, k, t),
