@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iq_bench::harness::build_instance;
-use iq_core::{QueryIndex, TargetEvaluator};
+use iq_core::{EvalContext, QueryIndex};
 use iq_geometry::Vector;
 use iq_workload::{Distribution, QueryDistribution};
 
@@ -36,18 +36,19 @@ fn bench(c: &mut Criterion) {
             99,
         );
         let index = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &index, 0);
+        let ctx = EvalContext::new(&inst, &index, 0);
+        let cursor = ctx.new_cursor();
         // A small strategy: the realistic candidate-evaluation shape.
         let s = Vector::from([-0.02, -0.01, -0.015]);
         let label = format!("{n}x{m}");
         group.bench_with_input(BenchmarkId::new("ese_fast", &label), &(), |b, _| {
-            b.iter(|| ev.evaluate(&s))
+            b.iter(|| ctx.evaluate(&cursor, &s))
         });
         group.bench_with_input(BenchmarkId::new("ese_pairwise", &label), &(), |b, _| {
-            b.iter(|| ev.evaluate_pairwise(&index, &s))
+            b.iter(|| ctx.evaluate_pairwise(&cursor, &index, &s))
         });
         group.bench_with_input(BenchmarkId::new("thresholded_scan", &label), &(), |b, _| {
-            b.iter(|| ev.evaluate_naive(&s))
+            b.iter(|| ctx.evaluate_naive(&cursor, &s))
         });
         group.bench_with_input(BenchmarkId::new("no_index", &label), &(), |b, _| {
             b.iter(|| {

@@ -14,9 +14,9 @@
 //! metrics (build time, index size as a fraction of the raw data).
 
 use iq_core::baselines::{greedy_iq, random_max_hit_iq, random_min_cost_iq};
+use iq_core::search::ese_evaluator;
 use iq_core::{
     max_hit_iq, min_cost_iq, EuclideanCost, Instance, QueryIndex, SearchOptions, StrategyBounds,
-    TargetEvaluator,
 };
 use iq_topk::DominantGraph;
 use iq_workload::{standard_instance, Distribution, QueryDistribution};
@@ -244,19 +244,19 @@ pub fn measure_processing(
                 iq_core::baselines::rta_max_hit_iq(instance, target, beta, &cost, &bounds, opts)
             }
             (Scheme::Greedy, true) => {
-                let mut ev = TargetEvaluator::new_with(instance, &index, target, &opts.exec);
+                let mut ev = ese_evaluator(instance, &index, target, &opts.exec);
                 greedy_iq(&mut ev, Some(tau), None, &cost, &bounds, opts)
             }
             (Scheme::Greedy, false) => {
-                let mut ev = TargetEvaluator::new_with(instance, &index, target, &opts.exec);
+                let mut ev = ese_evaluator(instance, &index, target, &opts.exec);
                 greedy_iq(&mut ev, None, Some(beta), &cost, &bounds, opts)
             }
             (Scheme::Random, true) => {
-                let mut ev = TargetEvaluator::new_with(instance, &index, target, &opts.exec);
+                let mut ev = ese_evaluator(instance, &index, target, &opts.exec);
                 random_min_cost_iq(&mut ev, tau, &cost, &bounds, &mut rng, 500)
             }
             (Scheme::Random, false) => {
-                let mut ev = TargetEvaluator::new_with(instance, &index, target, &opts.exec);
+                let mut ev = ese_evaluator(instance, &index, target, &opts.exec);
                 random_max_hit_iq(&mut ev, beta, &cost, &bounds, &mut rng, 500)
             }
         };
@@ -319,11 +319,11 @@ pub fn run_one_min_cost(
             iq_core::baselines::rta_min_cost_iq(instance, target, tau, &cost, &bounds, opts)
         }
         Scheme::Greedy => {
-            let mut ev = TargetEvaluator::new_with(instance, index, target, &opts.exec);
+            let mut ev = ese_evaluator(instance, index, target, &opts.exec);
             greedy_iq(&mut ev, Some(tau), None, &cost, &bounds, opts)
         }
         Scheme::Random => {
-            let mut ev = TargetEvaluator::new_with(instance, index, target, &opts.exec);
+            let mut ev = ese_evaluator(instance, index, target, &opts.exec);
             let mut rng = StdRng::seed_from_u64(seed);
             random_min_cost_iq(&mut ev, tau, &cost, &bounds, &mut rng, 300)
         }

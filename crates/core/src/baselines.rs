@@ -4,17 +4,16 @@
 //! reproduce the paper's four-way comparison.
 
 use crate::cost::{CostFunction, StrategyBounds};
+use crate::ese::strict_eps;
 use crate::model::{ImprovementStrategy, Instance};
-use crate::search::{run_max_hit, run_min_cost, HitEvaluator, IqReport, SearchOptions};
+use crate::search::{
+    candidates, run_max_hit, run_min_cost, stalled, Candidate, HitEvaluator, IqReport,
+    SearchOptions,
+};
 use iq_geometry::{FlatMatrix, Vector};
 use iq_topk::naive::kth_best_excluding_flat;
 use iq_topk::rta;
 use rand::Rng;
-
-/// Safety margin for strict score inequalities (mirrors the ESE path).
-fn strict_eps(scale: f64) -> f64 {
-    1e-9 * (1.0 + scale.abs())
-}
 
 /// A [`HitEvaluator`] that computes hit counts with the Reverse top-k
 /// Threshold Algorithm instead of the subdomain/ESE index. Strategy
@@ -178,43 +177,28 @@ pub fn greedy_iq<E: HitEvaluator>(
         }
         iterations += 1;
 
-        // Cheapest single query to hit next.
+        // Cheapest single query to hit next: the first of the lowest-cost
+        // candidates, none of them scored.
         let rem = bounds.remaining(ev.applied());
-        let m = ev.instance().num_queries();
-        let mut best: Option<(f64, Vector)> = None;
-        for q in 0..m {
-            if ev.is_hit(q) {
-                continue;
-            }
-            let Some(rhs) = ev.required_rhs(q) else {
-                continue;
-            };
-            let weights = ev.instance().queries()[q].weights.clone();
-            if let Some((s, c)) = cost_fn.min_cost_to_satisfy(&weights, rhs, &rem) {
-                evaluated += 1;
-                if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-                    best = Some((c, s));
-                }
+        let cands = candidates(ev, 0, cost_fn, &rem, |q| ev.is_hit(q), 0);
+        evaluated += cands.len();
+        let mut best: Option<Candidate> = None;
+        for cand in cands {
+            if best.as_ref().is_none_or(|b| cand.cost_inc < b.cost_inc) {
+                best = Some(cand);
             }
         }
-        let Some((c, s)) = best else {
+        let Some(best) = best else {
             break;
         };
-        if let Some(b) = budget {
-            if spent + c > b {
-                break;
-            }
+        if budget.is_some_and(|b| spent + best.cost_inc > b) {
+            break;
         }
         let before = ev.hit_count();
-        spent += c;
-        ev.apply(&s);
-        if ev.hit_count() <= before {
-            stalls += 1;
-            if stalls >= opts.max_stalls {
-                break;
-            }
-        } else {
-            stalls = 0;
+        spent += best.cost_inc;
+        ev.apply(&best.strategy);
+        if stalled(&mut stalls, ev.hit_count() > before, opts.max_stalls) {
+            break;
         }
     }
 
@@ -356,9 +340,9 @@ fn random_strategy<R: Rng>(d: usize, scale: f64, bounds: &StrategyBounds, rng: &
 mod tests {
     use super::*;
     use crate::cost::EuclideanCost;
-    use crate::ese::TargetEvaluator;
+    use crate::exec::ExecPolicy;
     use crate::model::TopKQuery;
-    use crate::search::min_cost_iq;
+    use crate::search::{ese_evaluator, min_cost_iq};
     use crate::subdomain::QueryIndex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -390,7 +374,7 @@ mod tests {
         let inst = random_instance(30, 50, 3, 4, 61);
         let idx = QueryIndex::build(&inst);
         let target = 9;
-        let ese = TargetEvaluator::new(&inst, &idx, target);
+        let ese = ese_evaluator(&inst, &idx, target, &ExecPolicy::sequential());
         let mut rtae = RtaEvaluator::new(&inst, target);
         assert_eq!(ese.hit_count(), HitEvaluator::hit_count(&rtae));
         for q in 0..inst.num_queries() {
@@ -404,7 +388,7 @@ mod tests {
         let mut rnd = lcg(9);
         for _ in 0..10 {
             let s = Vector::new((0..3).map(|_| (rnd() - 0.5) * 0.4).collect::<Vec<_>>());
-            let a = ese.evaluate_naive(&s);
+            let a = ese.0.evaluate_naive(&ese.1, &s);
             let b = rtae.evaluate(&s);
             assert_eq!(a, b, "s {s:?}");
         }
@@ -442,7 +426,7 @@ mod tests {
         let target = 11;
         let tau = (inst.hit_count_naive(target) + 8).min(inst.num_queries());
         let eff = min_cost_iq(&inst, &idx, target, tau, &cost, &bounds, &opts);
-        let mut ev = TargetEvaluator::new(&inst, &idx, target);
+        let mut ev = ese_evaluator(&inst, &idx, target, &ExecPolicy::sequential());
         let greedy = greedy_iq(&mut ev, Some(tau), None, &cost, &bounds, &opts);
         assert!(greedy.achieved);
         assert!(greedy.hits_after >= tau);
@@ -461,7 +445,7 @@ mod tests {
         let cost = EuclideanCost;
         let opts = SearchOptions::default();
         let bounds = StrategyBounds::unbounded(3);
-        let mut ev = TargetEvaluator::new(&inst, &idx, 3);
+        let mut ev = ese_evaluator(&inst, &idx, 3, &ExecPolicy::sequential());
         let r = greedy_iq(&mut ev, None, Some(0.4), &cost, &bounds, &opts);
         assert!(r.cost <= 0.4 + 1e-6);
         let improved = inst.with_strategy(3, &r.strategy);
@@ -476,7 +460,7 @@ mod tests {
         let bounds = StrategyBounds::unbounded(2);
         let target = 6;
         let tau = inst.hit_count_naive(target) + 1;
-        let mut ev = TargetEvaluator::new(&inst, &idx, target);
+        let mut ev = ese_evaluator(&inst, &idx, target, &ExecPolicy::sequential());
         let mut rng = StdRng::seed_from_u64(4);
         let r = random_min_cost_iq(&mut ev, tau, &cost, &bounds, &mut rng, 5000);
         if r.achieved {
@@ -492,7 +476,7 @@ mod tests {
         let idx = QueryIndex::build(&inst);
         let cost = EuclideanCost;
         let bounds = StrategyBounds::unbounded(2);
-        let mut ev = TargetEvaluator::new(&inst, &idx, 2);
+        let mut ev = ese_evaluator(&inst, &idx, 2, &ExecPolicy::sequential());
         let before = ev.hit_count();
         let mut rng = StdRng::seed_from_u64(8);
         let r = random_max_hit_iq(&mut ev, 0.3, &cost, &bounds, &mut rng, 300);

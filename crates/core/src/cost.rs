@@ -215,9 +215,9 @@ pub trait CostFunction: Send + Sync {
     }
 }
 
-/// `need / norm`, the least `‖s‖` that lowers `a · s` by `need` when
-/// `|a · s| ≤ norm · ‖s‖` (Cauchy–Schwarz or Hölder for the dual norm);
-/// infinite when `a` cannot lower anything.
+/// `need / norm`, the least `Cost(s)` that lowers `a · s` by `need` when
+/// `|a · s| ≤ norm · Cost(s)` (Cauchy–Schwarz or Hölder for the dual
+/// norm); infinite when `a` cannot lower anything.
 fn drop_lower_bound(rhs: f64, norm: f64) -> f64 {
     let need = -rhs;
     if need > 0.0 {
@@ -343,6 +343,18 @@ impl CostFunction for WeightedEuclideanCost {
         }
     }
 
+    /// `max(0, −rhs) / sqrt(Σ aᵢ²/wᵢ)`, by Cauchy–Schwarz on `W^{1/2}s`:
+    /// `|a · s| ≤ ‖W^{-1/2}a‖₂ · Cost(s)`. Valid under any box.
+    fn min_cost_lower_bound(&self, a: &[f64], rhs: f64, _bounds: &StrategyBounds) -> f64 {
+        let norm = a
+            .iter()
+            .zip(&self.weights)
+            .map(|(x, w)| x * x / w)
+            .sum::<f64>()
+            .sqrt();
+        drop_lower_bound(rhs, norm)
+    }
+
     fn name(&self) -> &'static str {
         "weighted-euclidean"
     }
@@ -421,6 +433,21 @@ impl CostFunction for AsymmetricLinearCost {
         bounds: &StrategyBounds,
     ) -> Option<(Vector, f64)> {
         linear_cost_lp(a, rhs, bounds, &self.up, &self.down)
+    }
+
+    /// `max(0, −rhs) / maxᵢ(|aᵢ| / pᵢ)`, where `pᵢ` is the unit price of
+    /// the direction that lowers `aᵢsᵢ` (`down` for `aᵢ > 0`, `up` for
+    /// `aᵢ < 0`; zero coefficients lower nothing and are skipped): each unit
+    /// of cost lowers `a · s` by at most that ratio. A free direction makes
+    /// the bound 0. Valid under any box.
+    fn min_cost_lower_bound(&self, a: &[f64], rhs: f64, _bounds: &StrategyBounds) -> f64 {
+        let norm = a
+            .iter()
+            .enumerate()
+            .filter(|&(_, &x)| x.abs() > 0.0)
+            .map(|(i, &x)| x.abs() / if x > 0.0 { self.down[i] } else { self.up[i] })
+            .fold(0.0, f64::max);
+        drop_lower_bound(rhs, norm)
     }
 
     fn name(&self) -> &'static str {
@@ -639,6 +666,36 @@ mod tests {
         let (s, _) = c.min_cost_to_satisfy(&[1.0, 1.0], -1.0, &unb(2)).unwrap();
         assert!(s[0] < -0.99, "expected drop in attribute 1: {s:?}");
         assert!(s[1].abs() < 1e-6);
+    }
+
+    #[test]
+    fn weighted_and_asymmetric_lower_bounds_are_tight_and_certified() {
+        // Unbounded, the weighted bound is the exact minimum.
+        let w = WeightedEuclideanCost::new(vec![2.0, 0.5, 4.0]);
+        let a = [0.7, -0.3, 0.2];
+        let (_, exact) = w.min_cost_to_satisfy(&a, -1.0, &unb(3)).unwrap();
+        let lb = w.min_cost_lower_bound(&a, -1.0, &unb(3));
+        assert!((lb - exact).abs() < 1e-9, "{lb} vs {exact}");
+        // Lowering a·s by 1: cheapest is attribute 1 upward at 3/0.3 = 10.
+        let asym = AsymmetricLinearCost::new(vec![3.0, 3.0, 3.0], vec![10.0, 1.0, 5.0]);
+        let lb = asym.min_cost_lower_bound(&a, -1.0, &unb(3));
+        assert!((lb - 10.0).abs() < 1e-9, "{lb}");
+        // A box only raises the minimum; the bound stays below it.
+        let boxed = StrategyBounds::new(vec![-0.5; 3], vec![0.5; 3]);
+        for cost in [&w as &dyn CostFunction, &asym] {
+            if let Some((_, c)) = cost.min_cost_to_satisfy(&a, -0.3, &boxed) {
+                assert!(cost.min_cost_lower_bound(&a, -0.3, &boxed) <= c + 1e-12);
+            }
+        }
+        // A free direction bounds nothing; a zero weight vector reaches
+        // nothing; a satisfied constraint costs nothing.
+        let free = AsymmetricLinearCost::new(vec![0.0, 1.0], vec![1.0, 1.0]);
+        assert_eq!(free.min_cost_lower_bound(&[-1.0, 0.0], -1.0, &unb(2)), 0.0);
+        assert_eq!(
+            free.min_cost_lower_bound(&[0.0, 0.0], -1.0, &unb(2)),
+            f64::INFINITY
+        );
+        assert_eq!(w.min_cost_lower_bound(&a, 0.5, &unb(3)), 0.0);
     }
 
     #[test]

@@ -25,12 +25,11 @@
 //!   one search (or thread) at a time.
 //!
 //! All scoring entry points take `(&EvalContext, &EvalCursor)`, so any
-//! number of threads can score candidate strategies against one shared
-//! context concurrently — this is what the deterministic parallel search
-//! in [`crate::search`] builds on ([`crate::exec::ExecPolicy`]).
-//!
-//! [`TargetEvaluator`] bundles one context with one cursor behind the
-//! original single-threaded API; existing call sites are unaffected.
+//! number of threads can score against one shared context, and the
+//! context itself is built under an [`crate::exec::ExecPolicy`]. The pair
+//! `(EvalContext, EvalCursor)` implements [`crate::search::HitEvaluator`]:
+//! it is the evaluator the greedy searches run against, one pair per
+//! target.
 //!
 //! [`EvalContext::evaluate`] exploits both observations above: queries are
 //! pre-grouped by threshold object, and one slab query per group retrieves
@@ -149,11 +148,6 @@ impl<'a> EvalContext<'a> {
         };
         self.recompute_hits(&mut cursor);
         cursor
-    }
-
-    /// The target object's id.
-    pub fn target(&self) -> usize {
-        self.target
     }
 
     /// The instance being evaluated against.
@@ -390,133 +384,9 @@ const _: () = {
     assert_send_sync::<EvalCursor>();
 };
 
-/// Per-target evaluation state behind the original single-owner API: one
-/// [`EvalContext`] bundled with one [`EvalCursor`]. Prefer the split types
-/// when scoring from multiple threads; this wrapper is the convenient
-/// front door for sequential callers and implements
-/// [`crate::search::HitEvaluator`].
-#[derive(Debug, Clone)]
-pub struct TargetEvaluator<'a> {
-    ctx: EvalContext<'a>,
-    cursor: EvalCursor,
-}
-
-impl<'a> TargetEvaluator<'a> {
-    /// Builds the evaluator for one target using a prebuilt query index.
-    pub fn new(instance: &'a Instance, index: &QueryIndex, target: usize) -> Self {
-        let ctx = EvalContext::new(instance, index, target);
-        let cursor = ctx.new_cursor();
-        TargetEvaluator { ctx, cursor }
-    }
-
-    /// Builds the evaluator with an explicit execution policy for the
-    /// context-construction phase.
-    pub fn new_with(
-        instance: &'a Instance,
-        index: &QueryIndex,
-        target: usize,
-        exec: &ExecPolicy,
-    ) -> Self {
-        let ctx = EvalContext::new_with(instance, index, target, exec);
-        let cursor = ctx.new_cursor();
-        TargetEvaluator { ctx, cursor }
-    }
-
-    /// The shared (read-only) half.
-    pub fn context(&self) -> &EvalContext<'a> {
-        &self.ctx
-    }
-
-    /// The scratch half.
-    pub fn cursor(&self) -> &EvalCursor {
-        &self.cursor
-    }
-
-    /// The target object's id.
-    pub fn target(&self) -> usize {
-        self.ctx.target()
-    }
-
-    /// The instance being evaluated against.
-    pub fn instance(&self) -> &Instance {
-        self.ctx.instance()
-    }
-
-    /// The cumulative strategy committed so far.
-    pub fn applied(&self) -> &Vector {
-        self.cursor.applied()
-    }
-
-    /// The improved target's current attribute vector `p + applied`.
-    pub fn effective_target(&self) -> Vector {
-        self.ctx.effective_target(&self.cursor)
-    }
-
-    /// Current hit count `H(p + applied)`.
-    pub fn hit_count(&self) -> usize {
-        self.cursor.hit_count()
-    }
-
-    /// Whether query `q` is currently hit.
-    pub fn is_hit(&self, q: usize) -> bool {
-        self.cursor.is_hit(q)
-    }
-
-    /// Current hit bitmap.
-    pub fn hits(&self) -> &[bool] {
-        self.cursor.hits()
-    }
-
-    /// The admission threshold of query `q` (`None` = trivially hit).
-    pub fn threshold(&self, q: usize) -> Option<(usize, f64)> {
-        self.ctx.threshold(q)
-    }
-
-    /// See [`EvalContext::required_rhs`].
-    pub fn required_rhs(&self, q: usize) -> Option<f64> {
-        self.ctx.required_rhs(&self.cursor, q)
-    }
-
-    /// See [`EvalContext::reach_rhs`].
-    pub fn reach_rhs(&self, q: usize) -> Option<f64> {
-        self.ctx.reach_rhs(&self.cursor, q)
-    }
-
-    /// The improved target's current score under query `q`.
-    pub fn current_score(&self, q: usize) -> f64 {
-        self.ctx.current_score(&self.cursor, q)
-    }
-
-    /// **Fast ESE**: see [`EvalContext::evaluate`].
-    pub fn evaluate(&self, s: &ImprovementStrategy) -> usize {
-        self.ctx.evaluate(&self.cursor, s)
-    }
-
-    /// See [`EvalContext::evaluate_changes`].
-    pub fn evaluate_changes(&self, s: &ImprovementStrategy) -> Vec<(usize, bool, bool)> {
-        self.ctx.evaluate_changes(&self.cursor, s)
-    }
-
-    /// See [`EvalContext::evaluate_pairwise`].
-    pub fn evaluate_pairwise(&self, index: &QueryIndex, s: &ImprovementStrategy) -> usize {
-        self.ctx.evaluate_pairwise(&self.cursor, index, s)
-    }
-
-    /// See [`EvalContext::evaluate_naive`].
-    pub fn evaluate_naive(&self, s: &ImprovementStrategy) -> usize {
-        self.ctx.evaluate_naive(&self.cursor, s)
-    }
-
-    /// Commits a strategy: `applied += s`, with hit state recomputed
-    /// exactly (no incremental drift).
-    pub fn apply(&mut self, s: &ImprovementStrategy) {
-        self.ctx.apply(&mut self.cursor, s)
-    }
-}
-
 /// Safety margin for strict score inequalities, scaled to the threshold
-/// magnitude.
-fn strict_eps(scale: f64) -> f64 {
+/// magnitude (shared with the RTA evaluator).
+pub(crate) fn strict_eps(scale: f64) -> f64 {
     1e-9 * (1.0 + scale.abs())
 }
 
@@ -559,9 +429,10 @@ mod tests {
         let inst = random_instance(40, 60, 3, 5, 1);
         let idx = QueryIndex::build(&inst);
         for target in [0usize, 13, 39] {
-            let ev = TargetEvaluator::new(&inst, &idx, target);
+            let ctx = EvalContext::new(&inst, &idx, target);
+            let cur = ctx.new_cursor();
             assert_eq!(
-                ev.hit_count(),
+                cur.hit_count(),
                 inst.hit_count_naive(target),
                 "target {target}"
             );
@@ -574,11 +445,12 @@ mod tests {
         let idx = QueryIndex::build(&inst);
         let mut rnd = lcg(55);
         for target in [0usize, 11, 29] {
-            let ev = TargetEvaluator::new(&inst, &idx, target);
+            let ctx = EvalContext::new(&inst, &idx, target);
+            let cur = ctx.new_cursor();
             for _ in 0..30 {
                 let s = Vector::new((0..3).map(|_| (rnd() - 0.5) * 0.6).collect::<Vec<_>>());
-                let fast = ev.evaluate(&s);
-                let naive = ev.evaluate_naive(&s);
+                let fast = ctx.evaluate(&cur, &s);
+                let naive = ctx.evaluate_naive(&cur, &s);
                 assert_eq!(fast, naive, "target {target}, s {s:?}");
                 // And the evaluator's own oracle agrees with the model's.
                 let improved = inst.with_strategy(target, &s);
@@ -592,10 +464,14 @@ mod tests {
         let inst = random_instance(25, 50, 2, 3, 21);
         let idx = QueryIndex::build(&inst);
         let mut rnd = lcg(99);
-        let ev = TargetEvaluator::new(&inst, &idx, 5);
+        let ctx = EvalContext::new(&inst, &idx, 5);
+        let cur = ctx.new_cursor();
         for _ in 0..20 {
             let s = Vector::new((0..2).map(|_| (rnd() - 0.5) * 0.8).collect::<Vec<_>>());
-            assert_eq!(ev.evaluate(&s), ev.evaluate_pairwise(&idx, &s));
+            assert_eq!(
+                ctx.evaluate(&cur, &s),
+                ctx.evaluate_pairwise(&cur, &idx, &s)
+            );
         }
     }
 
@@ -603,55 +479,57 @@ mod tests {
     fn apply_accumulates_and_recomputes() {
         let inst = random_instance(20, 40, 3, 3, 3);
         let idx = QueryIndex::build(&inst);
-        let mut ev = TargetEvaluator::new(&inst, &idx, 4);
+        let ctx = EvalContext::new(&inst, &idx, 4);
+        let mut cur = ctx.new_cursor();
         let s1 = Vector::from([-0.1, 0.05, -0.2]);
         let s2 = Vector::from([-0.05, -0.1, 0.0]);
-        let predicted = ev.evaluate(&s1);
-        ev.apply(&s1);
-        assert_eq!(ev.hit_count(), predicted);
-        let predicted2 = ev.evaluate(&s2);
-        ev.apply(&s2);
-        assert_eq!(ev.hit_count(), predicted2);
+        let predicted = ctx.evaluate(&cur, &s1);
+        ctx.apply(&mut cur, &s1);
+        assert_eq!(cur.hit_count(), predicted);
+        let predicted2 = ctx.evaluate(&cur, &s2);
+        ctx.apply(&mut cur, &s2);
+        assert_eq!(cur.hit_count(), predicted2);
         // Cumulative equals one-shot application on the model.
         let total = &s1 + &s2;
         let improved = inst.with_strategy(4, &total);
-        assert_eq!(ev.hit_count(), improved.hit_count_naive(4));
-        assert_eq!(ev.applied().as_slice(), total.as_slice());
+        assert_eq!(cur.hit_count(), improved.hit_count_naive(4));
+        assert_eq!(cur.applied().as_slice(), total.as_slice());
     }
 
     #[test]
     fn required_rhs_is_exactly_sufficient() {
         let inst = random_instance(30, 50, 3, 4, 13);
         let idx = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &idx, 2);
+        let ctx = EvalContext::new(&inst, &idx, 2);
+        let cur = ctx.new_cursor();
         for q in 0..inst.num_queries() {
-            if ev.is_hit(q) {
+            if cur.is_hit(q) {
                 continue;
             }
-            let Some(rhs) = ev.required_rhs(q) else {
+            let Some(rhs) = ctx.required_rhs(&cur, q) else {
                 continue;
             };
             let w = Vector::from(inst.queries()[q].weights.as_slice());
             // A strategy achieving w·s = rhs must hit the query…
             if let Some(s) = iq_solver::min_norm_single(&w, rhs) {
-                let new_hits = ev.evaluate_changes(&s);
+                let new_hits = ctx.evaluate_changes(&cur, &s);
                 let hit_now = new_hits
                     .iter()
                     .find(|(qi, _, _)| *qi == q)
                     .map(|&(_, _, now)| now)
-                    .unwrap_or(ev.is_hit(q));
+                    .unwrap_or(cur.is_hit(q));
                 assert!(hit_now, "query {q} not hit at rhs boundary");
             }
             // …and one clearly short of it must not.
             let short = iq_solver::min_norm_single(&w, rhs + 0.05);
             if rhs + 0.05 < 0.0 {
                 let s = short.unwrap();
-                let changed = ev.evaluate_changes(&s);
+                let changed = ctx.evaluate_changes(&cur, &s);
                 let hit_now = changed
                     .iter()
                     .find(|(qi, _, _)| *qi == q)
                     .map(|&(_, _, now)| now)
-                    .unwrap_or(ev.is_hit(q));
+                    .unwrap_or(cur.is_hit(q));
                 assert!(!hit_now, "query {q} hit while short of the threshold");
             }
         }
@@ -661,10 +539,11 @@ mod tests {
     fn zero_strategy_changes_nothing() {
         let inst = random_instance(20, 30, 3, 3, 17);
         let idx = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &idx, 0);
+        let ctx = EvalContext::new(&inst, &idx, 0);
+        let cur = ctx.new_cursor();
         let z = Vector::zeros(3);
-        assert_eq!(ev.evaluate(&z), ev.hit_count());
-        assert!(ev.evaluate_changes(&z).is_empty());
+        assert_eq!(ctx.evaluate(&cur, &z), cur.hit_count());
+        assert!(ctx.evaluate_changes(&cur, &z).is_empty());
     }
 
     #[test]
@@ -679,11 +558,12 @@ mod tests {
         )
         .unwrap();
         let idx = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &idx, 0);
-        assert_eq!(ev.hit_count(), 2);
-        assert_eq!(ev.required_rhs(0), None);
+        let ctx = EvalContext::new(&inst, &idx, 0);
+        let cur = ctx.new_cursor();
+        assert_eq!(cur.hit_count(), 2);
+        assert_eq!(ctx.required_rhs(&cur, 0), None);
         // Even a terrible strategy cannot lose trivial hits.
-        assert_eq!(ev.evaluate(&Vector::from([100.0, 100.0])), 2);
+        assert_eq!(ctx.evaluate(&cur, &Vector::from([100.0, 100.0])), 2);
     }
 
     #[test]
@@ -700,15 +580,20 @@ mod tests {
         )
         .unwrap();
         let idx = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &idx, 1);
+        let ctx = EvalContext::new(&inst, &idx, 1);
+        let cur = ctx.new_cursor();
         for s in [
             Vector::from([0.0, 0.0]),
             Vector::from([-0.1, 0.0]),
             Vector::from([0.1, -0.3]),
         ] {
-            assert_eq!(ev.evaluate(&s), ev.evaluate_naive(&s), "s {s:?}");
+            assert_eq!(
+                ctx.evaluate(&cur, &s),
+                ctx.evaluate_naive(&cur, &s),
+                "s {s:?}"
+            );
             let improved = inst.with_strategy(1, &s);
-            assert_eq!(ev.evaluate(&s), improved.hit_count_naive(1));
+            assert_eq!(ctx.evaluate(&cur, &s), improved.hit_count_naive(1));
         }
     }
 
@@ -727,14 +612,15 @@ mod tests {
         let inst = Instance::new(objects, queries).unwrap();
         let idx = QueryIndex::build(&inst);
         for target in [0usize, 5, 10, 15] {
-            let ev = TargetEvaluator::new(&inst, &idx, target);
-            assert_eq!(ev.hit_count(), inst.hit_count_naive(target));
+            let ctx = EvalContext::new(&inst, &idx, target);
+            let cur = ctx.new_cursor();
+            assert_eq!(cur.hit_count(), inst.hit_count_naive(target));
             for sx in [-0.25f64, 0.0, 0.25] {
                 for sy in [-0.25f64, 0.0, 0.25] {
                     let s = Vector::from([sx, sy]);
                     let improved = inst.with_strategy(target, &s);
                     assert_eq!(
-                        ev.evaluate(&s),
+                        ctx.evaluate(&cur, &s),
                         improved.hit_count_naive(target),
                         "target {target}, s ({sx}, {sy})"
                     );
@@ -790,10 +676,12 @@ mod tests {
         // The original cursor is untouched by the fork's progress.
         assert_eq!(pristine.hit_count(), ctx.new_cursor().hit_count());
         assert_eq!(pristine.applied().as_slice(), &[0.0, 0.0, 0.0]);
-        // And the fork matches a wrapper that applied the same strategy.
-        let mut ev = TargetEvaluator::new(&inst, &idx, 6);
-        ev.apply(&Vector::from([-0.2, 0.1, -0.1]));
-        assert_eq!(fork.hit_count(), ev.hit_count());
-        assert_eq!(fork.hits(), ev.hits());
+        // And the fork matches a cursor of a fresh context that applied
+        // the same strategy.
+        let ctx = EvalContext::new(&inst, &idx, 6);
+        let mut cur = ctx.new_cursor();
+        ctx.apply(&mut cur, &Vector::from([-0.2, 0.1, -0.1]));
+        assert_eq!(fork.hit_count(), cur.hit_count());
+        assert_eq!(fork.hits(), cur.hits());
     }
 }

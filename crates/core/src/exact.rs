@@ -8,7 +8,7 @@
 //! ground truth: integration tests compare the greedy heuristics against
 //! these optima on instances small enough to finish.
 
-use crate::ese::TargetEvaluator;
+use crate::ese::{EvalContext, EvalCursor};
 use crate::model::{ImprovementStrategy, Instance};
 use crate::subdomain::QueryIndex;
 use iq_geometry::Vector;
@@ -26,8 +26,8 @@ pub struct ExactReport {
 }
 
 /// Builds the per-query hit conditions `w_q · s ≤ rhs_q` for a target.
-fn hit_conditions(ev: &TargetEvaluator<'_>) -> Vec<HitCondition> {
-    let inst = ev.instance();
+fn hit_conditions(ctx: &EvalContext<'_>, cursor: &EvalCursor) -> Vec<HitCondition> {
+    let inst = ctx.instance();
     (0..inst.num_queries())
         .map(|q| {
             let a = Vector::from(inst.queries()[q].weights.as_slice());
@@ -35,7 +35,7 @@ fn hit_conditions(ev: &TargetEvaluator<'_>) -> Vec<HitCondition> {
             // strategy; encode them with a constraint on the zero normal...
             // which HitCondition cannot express, so use rhs = +∞-ish via a
             // huge positive slack on the actual weights.
-            let b = ev.required_rhs(q).unwrap_or(f64::MAX / 4.0);
+            let b = ctx.required_rhs(cursor, q).unwrap_or(f64::MAX / 4.0);
             HitCondition { a, b }
         })
         .collect()
@@ -49,11 +49,12 @@ pub fn exact_min_cost_iq(
     target: usize,
     tau: usize,
 ) -> Option<ExactReport> {
-    let ev = TargetEvaluator::new(instance, index, target);
-    let conds = hit_conditions(&ev);
+    let ctx = EvalContext::new(instance, index, target);
+    let cursor = ctx.new_cursor();
+    let conds = hit_conditions(&ctx, &cursor);
     let sol = exact_min_cost(&conds, tau, &L2SubsetSolver)?;
     let strategy = fix_dim(sol.strategy, instance.dim());
-    let hits_after = ev.evaluate_naive(&strategy);
+    let hits_after = ctx.evaluate_naive(&cursor, &strategy);
     Some(ExactReport {
         cost: sol.cost,
         strategy,
@@ -68,11 +69,12 @@ pub fn exact_max_hit_iq(
     target: usize,
     budget: f64,
 ) -> ExactReport {
-    let ev = TargetEvaluator::new(instance, index, target);
-    let conds = hit_conditions(&ev);
+    let ctx = EvalContext::new(instance, index, target);
+    let cursor = ctx.new_cursor();
+    let conds = hit_conditions(&ctx, &cursor);
     let sol = exact_max_hit(&conds, budget, &L2SubsetSolver);
     let strategy = fix_dim(sol.strategy, instance.dim());
-    let hits_after = ev.evaluate_naive(&strategy);
+    let hits_after = ctx.evaluate_naive(&cursor, &strategy);
     ExactReport {
         cost: sol.cost,
         strategy,

@@ -5,11 +5,13 @@
 //! and evaluation-context construction
 //! ([`crate::ese::EvalContext::new_with`]) — routes through
 //! [`ExecPolicy::map`], which guarantees **output order equals input
-//! order regardless of thread count**. Combined with the read-only
-//! shared state / per-thread scratch split (see
-//! [`crate::ese::EvalContext`] / [`crate::ese::EvalCursor`]), this
-//! makes every search result byte-identical at any `IQ_THREADS` setting:
-//! parallelism changes wall-clock time, never answers.
+//! order regardless of thread count**. The searches, single- and
+//! multi-target, build one context per target under
+//! [`crate::search::SearchOptions::exec`] and run on the
+//! `(`[`crate::ese::EvalContext`]`, `[`crate::ese::EvalCursor`]`)` pair,
+//! which implements [`crate::search::HitEvaluator`]; so every search
+//! result is byte-identical at any `IQ_THREADS` setting: parallelism
+//! changes wall-clock time, never answers.
 //!
 //! The pool is `std::thread::scope`-based — no dependencies, no global
 //! state, threads live only for the duration of one `map` call. Work is

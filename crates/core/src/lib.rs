@@ -16,8 +16,10 @@
 //! Both are NP-hard (§4.2.1); the greedy searches here lean on the paper's
 //! two structural ideas: objects interpreted as functions of the query
 //! point, and the [subdomain index](subdomain::QueryIndex) + [Efficient
-//! Strategy Evaluation](ese::TargetEvaluator) machinery that re-evaluates
-//! only queries inside an improvement's *affected subspace*.
+//! Strategy Evaluation](ese::EvalContext) machinery that re-evaluates
+//! only queries inside an improvement's *affected subspace*; the
+//! `(EvalContext, EvalCursor)` pair implements [`HitEvaluator`], the
+//! interface the greedy searches run against.
 //!
 //! The extensions of §5 are implemented too: [multi-target combinatorial
 //! improvement](multi), exact [branch-and-bound search](exact), the §6.1
@@ -43,7 +45,7 @@ pub use cost::{
     quantize_strategy, AsymmetricLinearCost, CostFunction, EuclideanCost, ExprCost, L1Cost,
     StrategyBounds, WeightedEuclideanCost,
 };
-pub use ese::{EvalContext, EvalCursor, TargetEvaluator};
+pub use ese::{EvalContext, EvalCursor};
 pub use exec::ExecPolicy;
 pub use model::{ImprovementStrategy, Instance, ModelError, TopKQuery};
 pub use search::{max_hit_iq, min_cost_iq, HitEvaluator, IqReport, SearchOptions};

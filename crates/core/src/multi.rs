@@ -3,17 +3,28 @@
 //!
 //! Each target carries its own cost function (and bounds); a query counts
 //! **once** toward the union hit total no matter how many targets hit it.
-//! The searches mirror the single-target Algorithms 3/4, with candidates
-//! drawn from every `(target, unhit query)` pair:
+//! The searches are the single-target Algorithms 3/4 on the same
+//! bound-pruned candidate engine ([`crate::search`]), with candidates drawn
+//! from every `(target, query no target hits)` pair and scored by the union
+//! hits they gain:
 //!
 //! * Combinatorial Min-Cost (Definition 5): Σ hits ≥ τ, minimize Σ costs.
 //! * Combinatorial Max-Hit (Definition 6): Σ costs ≤ β, maximize Σ hits.
+//!
+//! Target `t`'s candidate of cost `c` gains at most
+//! `#{q no target hits : c_{t,q} ≤ c}`, so the single-target hit bounds
+//! carry over with base 0. A candidate with no positive gain is never
+//! committed, and with finite costs the reports equal scoring every
+//! candidate (property-tested against the exhaustive loop in
+//! `crates/core/tests/proptests.rs`).
 
 use crate::cost::{CostFunction, StrategyBounds};
-use crate::ese::TargetEvaluator;
+use crate::ese::{EvalContext, EvalCursor};
 use crate::model::{ImprovementStrategy, Instance};
+use crate::search::{
+    candidates, ese_evaluator, min_cost_step, pick, Candidate, HitEvaluator, SearchOptions, Step,
+};
 use crate::subdomain::QueryIndex;
-use iq_geometry::Vector;
 
 /// One target's specification: object id, cost model, validity bounds.
 pub struct TargetSpec<'a> {
@@ -44,144 +55,104 @@ pub struct MultiIqReport {
     pub achieved: bool,
 }
 
-/// Shared state: per-target evaluators plus the union hit bookkeeping.
-struct MultiState<'a> {
-    evals: Vec<TargetEvaluator<'a>>,
+/// Shared state: per-target ESE evaluators plus the union hit bookkeeping.
+struct MultiState<'a, 't> {
+    targets: &'t [TargetSpec<'t>],
+    evals: Vec<(EvalContext<'a>, EvalCursor)>,
     /// Per query: how many targets currently hit it.
     hit_by: Vec<u32>,
     union_hits: usize,
 }
 
-impl<'a> MultiState<'a> {
-    fn new(instance: &'a Instance, index: &QueryIndex, targets: &[TargetSpec<'_>]) -> Self {
-        let evals: Vec<TargetEvaluator<'a>> = targets
+impl<'a, 't> MultiState<'a, 't> {
+    fn new(
+        instance: &'a Instance,
+        index: &QueryIndex,
+        targets: &'t [TargetSpec<'t>],
+        opts: &SearchOptions,
+    ) -> Self {
+        let evals: Vec<_> = targets
             .iter()
-            .map(|t| TargetEvaluator::new(instance, index, t.target))
+            .map(|t| ese_evaluator(instance, index, t.target, &opts.exec))
             .collect();
-        let m = instance.num_queries();
-        let mut hit_by = vec![0u32; m];
-        for ev in &evals {
-            for (q, count) in hit_by.iter_mut().enumerate() {
-                *count += ev.is_hit(q) as u32;
-            }
-        }
+        let hit_by: Vec<u32> = (0..instance.num_queries())
+            .map(|q| evals.iter().filter(|(_, cursor)| cursor.is_hit(q)).count() as u32)
+            .collect();
         let union_hits = hit_by.iter().filter(|&&c| c > 0).count();
         MultiState {
+            targets,
             evals,
             hit_by,
             union_hits,
         }
     }
 
-    /// Union hit delta if target `ti` applied `s` (nothing committed).
-    fn union_delta(&self, ti: usize, s: &Vector) -> i64 {
+    /// One iteration's candidates, target-major and query-ascending: for
+    /// each target, the cheapest strategy (under its own cost function and
+    /// remaining bounds) to hit each query no target hits yet.
+    fn candidates(&self) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        for (t, (ev, spec)) in self.evals.iter().zip(self.targets).enumerate() {
+            let rem = spec.bounds.remaining(ev.applied());
+            out.extend(candidates(
+                ev,
+                t,
+                spec.cost_fn,
+                &rem,
+                |q| self.hit_by[q] > 0,
+                0,
+            ));
+        }
+        out
+    }
+
+    /// A candidate's score: the union hits it gains, 0 when it gains none
+    /// on balance. Nothing is committed.
+    fn gain(&self, c: &Candidate) -> usize {
+        let (ctx, cursor) = &self.evals[c.target];
         let mut delta = 0i64;
-        for (q, was, now) in self.evals[ti].evaluate_changes(s) {
-            debug_assert_ne!(was, now);
+        for (q, _, now) in ctx.evaluate_changes(cursor, &c.strategy) {
             if now && self.hit_by[q] == 0 {
                 delta += 1; // first target to hit q
-            } else if !now && self.hit_by[q] == 1 && was {
+            } else if !now && self.hit_by[q] == 1 {
                 delta -= 1; // last hitter leaves q
             }
         }
-        delta
+        delta.max(0) as usize
     }
 
-    fn commit(&mut self, ti: usize, s: &Vector) {
-        for (q, was, now) in self.evals[ti].evaluate_changes(s) {
-            if now && !was {
-                self.hit_by[q] += 1;
-                if self.hit_by[q] == 1 {
-                    self.union_hits += 1;
-                }
-            } else if was && !now {
-                self.hit_by[q] -= 1;
-                if self.hit_by[q] == 0 {
-                    self.union_hits -= 1;
-                }
-            }
+    fn commit(&mut self, c: &Candidate) {
+        let (ctx, cursor) = &mut self.evals[c.target];
+        for (q, _, now) in ctx.evaluate_changes(cursor, &c.strategy) {
+            let before = self.hit_by[q];
+            self.hit_by[q] = if now { before + 1 } else { before - 1 };
+            // q joins the union with its first hitter and leaves with its last.
+            self.union_hits =
+                self.union_hits + (before == 0) as usize - (self.hit_by[q] == 0) as usize;
         }
-        self.evals[ti].apply(s);
+        ctx.apply(cursor, &c.strategy);
     }
-}
 
-struct MultiCandidate {
-    target_idx: usize,
-    strategy: Vector,
-    cost_inc: f64,
-    union_delta: i64,
-}
-
-/// Per-iteration candidate generation: for every target and every query no
-/// target hits yet, the cheapest strategy for that target to hit it.
-fn multi_candidates(
-    state: &MultiState<'_>,
-    targets: &[TargetSpec<'_>],
-    instance: &Instance,
-) -> Vec<MultiCandidate> {
-    let mut out = Vec::new();
-    for (ti, spec) in targets.iter().enumerate() {
-        let ev = &state.evals[ti];
-        let rem = spec.bounds.remaining(ev.applied());
-        for q in 0..instance.num_queries() {
-            if state.hit_by[q] > 0 {
-                continue; // already covered by some target
-            }
-            let Some(rhs) = ev.required_rhs(q) else {
-                continue;
-            };
-            let weights = &instance.queries()[q].weights;
-            let Some((s, c)) = spec.cost_fn.min_cost_to_satisfy(weights, rhs, &rem) else {
-                continue;
-            };
-            let delta = state.union_delta(ti, &s);
-            out.push(MultiCandidate {
-                target_idx: ti,
-                strategy: s,
-                cost_inc: c,
-                union_delta: delta,
-            });
+    fn finish(self, hits_before: usize, iterations: usize, achieved: bool) -> MultiIqReport {
+        let strategies: Vec<ImprovementStrategy> = self
+            .evals
+            .iter()
+            .map(|(_, cursor)| cursor.applied().clone())
+            .collect();
+        let costs: Vec<f64> = strategies
+            .iter()
+            .zip(self.targets)
+            .map(|(s, t)| t.cost_fn.cost(s))
+            .collect();
+        MultiIqReport {
+            total_cost: costs.iter().sum(),
+            costs,
+            strategies,
+            hits_before,
+            hits_after: self.union_hits,
+            iterations,
+            achieved,
         }
-    }
-    out
-}
-
-fn best_ratio(cands: &[MultiCandidate]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in cands.iter().enumerate() {
-        if c.union_delta <= 0 {
-            continue;
-        }
-        let ratio = c.cost_inc / c.union_delta as f64;
-        if best.is_none_or(|(_, b)| ratio < b) {
-            best = Some((i, ratio));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-fn finish(
-    state: MultiState<'_>,
-    targets: &[TargetSpec<'_>],
-    hits_before: usize,
-    iterations: usize,
-    achieved: bool,
-) -> MultiIqReport {
-    let strategies: Vec<ImprovementStrategy> =
-        state.evals.iter().map(|e| e.applied().clone()).collect();
-    let costs: Vec<f64> = strategies
-        .iter()
-        .zip(targets)
-        .map(|(s, t)| t.cost_fn.cost(s))
-        .collect();
-    MultiIqReport {
-        total_cost: costs.iter().sum(),
-        costs,
-        strategies,
-        hits_before,
-        hits_after: state.union_hits,
-        iterations,
-        achieved,
     }
 }
 
@@ -191,38 +162,27 @@ pub fn multi_min_cost_iq(
     index: &QueryIndex,
     targets: &[TargetSpec<'_>],
     tau: usize,
-    max_iterations: usize,
+    opts: &SearchOptions,
 ) -> MultiIqReport {
-    let mut state = MultiState::new(instance, index, targets);
+    let mut state = MultiState::new(instance, index, targets, opts);
     let hits_before = state.union_hits;
     let mut iterations = 0;
-    while state.union_hits < tau && iterations < max_iterations {
+    while state.union_hits < tau && iterations < opts.max_iterations {
         iterations += 1;
-        let cands = multi_candidates(&state, targets, instance);
-        let Some(best) = best_ratio(&cands) else {
+        let mut cands = state.candidates();
+        // §5.1 step 2: avoid over-achieving τ — when the best candidate
+        // overshoots, take the cheapest candidate that gains enough.
+        let need = tau - state.union_hits;
+        let Some((chosen, _)) = min_cost_step(&mut cands, need, |c| state.gain(c)) else {
             break;
         };
-        // §5.1 step 2: avoid over-achieving τ — when the best candidate
-        // overshoots, prefer the cheapest candidate that reaches exactly
-        // enough.
-        let need = (tau - state.union_hits) as i64;
-        let chosen = if cands[best].union_delta > need {
-            cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.union_delta >= need)
-                .min_by(|(_, a), (_, b)| a.cost_inc.total_cmp(&b.cost_inc))
-                .map(|(i, _)| i)
-                .unwrap_or(best)
-        } else {
-            best
-        };
-        let ti = cands[chosen].target_idx;
-        let s = cands[chosen].strategy.clone();
-        state.commit(ti, &s);
+        if cands[chosen].hits == Some(0) {
+            break; // no candidate gains a union hit
+        }
+        state.commit(&cands[chosen]);
     }
     let achieved = state.union_hits >= tau;
-    finish(state, targets, hits_before, iterations, achieved)
+    state.finish(hits_before, iterations, achieved)
 }
 
 /// Combinatorial **Max-Hit** improvement (Definition 6 / §5.1 steps 1–3).
@@ -231,28 +191,38 @@ pub fn multi_max_hit_iq(
     index: &QueryIndex,
     targets: &[TargetSpec<'_>],
     budget: f64,
-    max_iterations: usize,
+    opts: &SearchOptions,
 ) -> MultiIqReport {
-    let mut state = MultiState::new(instance, index, targets);
+    let mut state = MultiState::new(instance, index, targets, opts);
     let hits_before = state.union_hits;
     let mut iterations = 0;
     let mut spent = 0.0f64;
-    while spent < budget && iterations < max_iterations {
+    while spent < budget && iterations < opts.max_iterations {
         iterations += 1;
         // §5.1 step 2: filter candidates to the remaining budget.
-        let cands: Vec<MultiCandidate> = multi_candidates(&state, targets, instance)
+        let mut cands: Vec<Candidate> = state
+            .candidates()
             .into_iter()
             .filter(|c| spent + c.cost_inc <= budget)
             .collect();
-        let Some(best) = best_ratio(&cands) else {
-            break; // empty candidate set → terminate
+        // Nothing ends the search, so a step commits unless no candidate
+        // is left.
+        let step = pick(
+            &mut cands,
+            |c| state.gain(c),
+            |_, _| false,
+            |c| Some(c.hit_bound),
+        );
+        let Some(Step::Commit(best)) = step else {
+            break;
         };
-        let ti = cands[best].target_idx;
-        let s = cands[best].strategy.clone();
+        if cands[best].hits == Some(0) {
+            break; // no affordable candidate gains a union hit
+        }
         spent += cands[best].cost_inc;
-        state.commit(ti, &s);
+        state.commit(&cands[best]);
     }
-    finish(state, targets, hits_before, iterations, true)
+    state.finish(hits_before, iterations, true)
 }
 
 #[cfg(test)]
@@ -260,7 +230,7 @@ mod tests {
     use super::*;
     use crate::cost::{EuclideanCost, WeightedEuclideanCost};
     use crate::model::TopKQuery;
-    use crate::search::{min_cost_iq, SearchOptions};
+    use crate::search::min_cost_iq;
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -315,7 +285,7 @@ mod tests {
             cost_fn: &cost,
             bounds: StrategyBounds::unbounded(3),
         }];
-        let multi = multi_min_cost_iq(&inst, &idx, &specs, tau, 10_000);
+        let multi = multi_min_cost_iq(&inst, &idx, &specs, tau, &SearchOptions::default());
         assert!(multi.achieved);
         assert_eq!(multi.hits_after >= tau, single.hits_after >= tau);
         // Both heuristics should land in a similar cost range.
@@ -338,7 +308,7 @@ mod tests {
                 bounds: StrategyBounds::unbounded(3),
             })
             .collect();
-        let r = multi_min_cost_iq(&inst, &idx, &specs, tau, 10_000);
+        let r = multi_min_cost_iq(&inst, &idx, &specs, tau, &SearchOptions::default());
         assert!(r.achieved, "union tau not reached: {r:?}");
         assert_eq!(r.hits_before, before);
         // Ground truth on a fresh instance with both strategies applied.
@@ -371,7 +341,7 @@ mod tests {
         ];
         let before = union_hits_ground_truth(&inst, &[0, 1]);
         let tau = (before + 4).min(inst.num_queries());
-        let r = multi_min_cost_iq(&inst, &idx, &specs, tau, 10_000);
+        let r = multi_min_cost_iq(&inst, &idx, &specs, tau, &SearchOptions::default());
         if r.achieved {
             // Each target should have moved mostly along its cheap axis.
             assert!(r.strategies[0][0].abs() <= r.strategies[0][1].abs() + 1e-6);
@@ -394,7 +364,7 @@ mod tests {
             })
             .collect();
         let before = union_hits_ground_truth(&inst, &targets);
-        let r = multi_max_hit_iq(&inst, &idx, &specs, 0.6, 10_000);
+        let r = multi_max_hit_iq(&inst, &idx, &specs, 0.6, &SearchOptions::default());
         assert!(r.hits_after >= before);
         // Charged incrementally; final per-target costs obey the triangle
         // inequality, so the sum stays within budget.
@@ -429,12 +399,39 @@ mod tests {
                 bounds: StrategyBounds::unbounded(2),
             },
         ];
-        let r = multi_min_cost_iq(&inst, &idx, &specs, 1, 100);
+        let r = multi_min_cost_iq(&inst, &idx, &specs, 1, &SearchOptions::default());
         assert!(r.achieved);
         assert_eq!(r.hits_after, 1);
         // Only one target should have paid anything.
         let movers = r.costs.iter().filter(|&&c| c > 1e-9).count();
         assert_eq!(movers, 1, "both targets moved: {:?}", r.costs);
+    }
+
+    #[test]
+    fn zero_gain_candidates_are_never_committed() {
+        // Target 0 hits q0 (least x); its only candidate, for q2 (most x),
+        // moves it past object 1 and so hands q0 to object 2: net gain 0.
+        let inst = Instance::new(
+            vec![vec![0.5, 0.5], vec![1.0, 0.5], vec![0.8, 0.5]],
+            vec![
+                TopKQuery::new(vec![1.0, 0.0], 1),
+                TopKQuery::new(vec![-1.0, 0.0], 1),
+            ],
+        )
+        .unwrap();
+        let idx = QueryIndex::build(&inst);
+        let specs = [TargetSpec {
+            target: 0,
+            cost_fn: &EuclideanCost,
+            bounds: StrategyBounds::unbounded(2),
+        }];
+        let opts = SearchOptions::default();
+        let mc = multi_min_cost_iq(&inst, &idx, &specs, 2, &opts);
+        let mh = multi_max_hit_iq(&inst, &idx, &specs, 10.0, &opts);
+        for r in [mc, mh] {
+            assert_eq!((r.hits_before, r.hits_after, r.iterations), (1, 1, 1));
+            assert!(r.strategies[0].is_zero(0.0), "{r:?}");
+        }
     }
 
     #[test]
@@ -447,7 +444,7 @@ mod tests {
             cost_fn: &cost,
             bounds: StrategyBounds::unbounded(2),
         }];
-        let r = multi_max_hit_iq(&inst, &idx, &specs, 0.0, 100);
+        let r = multi_max_hit_iq(&inst, &idx, &specs, 0.0, &SearchOptions::default());
         assert_eq!(r.hits_after, r.hits_before);
         assert!(r.strategies[0].is_zero(1e-12));
     }

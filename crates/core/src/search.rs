@@ -7,7 +7,10 @@
 //! score the candidates with ESE, and commit the candidate with the best
 //! cost-per-hit ratio. Min-Cost stops at `τ` hits; Max-Hit stops when the
 //! budget `β` is exhausted (with a final fill pass over the remaining
-//! affordable candidates, Algorithm 4 lines 13–17).
+//! affordable candidates, Algorithm 4 lines 13–17). `candidates` and
+//! `pick` are the only candidate generation and scoring in the crate:
+//! §5.1's multi-target searches ([`crate::multi`]) run on them too, with
+//! a union-gain score.
 //!
 //! ## Bound-pruned candidate scoring
 //!
@@ -26,7 +29,7 @@
 //! in `crates/core/tests/proptests.rs`, for ESE and RTA evaluators alike).
 
 use crate::cost::{CostFunction, StrategyBounds};
-use crate::ese::TargetEvaluator;
+use crate::ese::{EvalContext, EvalCursor};
 use crate::exec::ExecPolicy;
 use crate::model::{ImprovementStrategy, Instance};
 use crate::subdomain::QueryIndex;
@@ -91,10 +94,10 @@ impl IqReport {
 }
 
 /// The evaluation interface the greedy searches run against. The paper's
-/// Efficient-IQ scheme plugs in [`TargetEvaluator`] (subdomain-indexed ESE);
-/// the RTA-IQ baseline plugs in an RTA-backed evaluator — the search is
-/// byte-for-byte the same, which is why the two schemes return strategies
-/// of identical quality (§6.3.2).
+/// Efficient-IQ scheme plugs in the subdomain-indexed ESE pair
+/// `(`[`EvalContext`]`, `[`EvalCursor`]`)`; the RTA-IQ baseline plugs in
+/// an RTA-backed evaluator — the search is byte-for-byte the same, which
+/// is why the two schemes return strategies of identical quality (§6.3.2).
 pub trait HitEvaluator {
     /// The instance being improved.
     fn instance(&self) -> &Instance;
@@ -120,57 +123,81 @@ pub trait HitEvaluator {
     fn applied(&self) -> &ImprovementStrategy;
 }
 
-impl HitEvaluator for TargetEvaluator<'_> {
+/// Fast ESE: one shared context scored against one search's cursor.
+impl HitEvaluator for (EvalContext<'_>, EvalCursor) {
     fn instance(&self) -> &Instance {
-        TargetEvaluator::instance(self)
+        self.0.instance()
     }
     fn hit_count(&self) -> usize {
-        TargetEvaluator::hit_count(self)
+        self.1.hit_count()
     }
     fn is_hit(&self, q: usize) -> bool {
-        TargetEvaluator::is_hit(self, q)
+        self.1.is_hit(q)
     }
     fn required_rhs(&self, q: usize) -> Option<f64> {
-        TargetEvaluator::required_rhs(self, q)
+        self.0.required_rhs(&self.1, q)
     }
     fn reach_rhs(&self, q: usize) -> Option<f64> {
-        TargetEvaluator::reach_rhs(self, q)
+        self.0.reach_rhs(&self.1, q)
     }
     fn evaluate(&mut self, s: &ImprovementStrategy) -> usize {
-        TargetEvaluator::evaluate(self, s)
+        self.0.evaluate(&self.1, s)
     }
     fn apply(&mut self, s: &ImprovementStrategy) {
-        TargetEvaluator::apply(self, s)
+        self.0.apply(&mut self.1, s)
     }
     fn applied(&self) -> &ImprovementStrategy {
-        TargetEvaluator::applied(self)
+        self.1.applied()
     }
 }
 
-struct Candidate {
-    query: usize,
-    strategy: Vector,
-    cost_inc: f64,
-    /// Certified upper bound on `H(p + applied + strategy)`.
-    hit_bound: usize,
-    /// `H(p + applied + strategy)`, once scored.
-    hits: Option<usize>,
+/// The Efficient-IQ evaluator of `target`: its [`EvalContext`], built
+/// under `exec`, with a fresh cursor.
+pub fn ese_evaluator<'a>(
+    instance: &'a Instance,
+    index: &QueryIndex,
+    target: usize,
+    exec: &ExecPolicy,
+) -> (EvalContext<'a>, EvalCursor) {
+    let ctx = EvalContext::new_with(instance, index, target, exec);
+    let cursor = ctx.new_cursor();
+    (ctx, cursor)
 }
 
-/// Generates the candidate set `S` of one greedy iteration: per unhit
-/// query, the cheapest strategy that hits it, with its hit bound. Nothing
-/// is scored yet.
-fn candidates<E: HitEvaluator>(
+/// One candidate of a greedy step: the cheapest strategy for one target to
+/// hit one query.
+pub(crate) struct Candidate {
+    /// Which target the strategy moves (always 0 for a single target).
+    pub(crate) target: usize,
+    query: usize,
+    pub(crate) strategy: Vector,
+    pub(crate) cost_inc: f64,
+    /// Certified upper bound on the candidate's score.
+    pub(crate) hit_bound: usize,
+    /// The candidate's score, once computed: `H(p + applied + strategy)`
+    /// for one target, the union gain for several.
+    pub(crate) hits: Option<usize>,
+}
+
+/// Generates target `target`'s share of a greedy iteration's candidate set
+/// `S`: per query not `skip`ped, the cheapest strategy that hits it, with
+/// its score bound `base + #{unskipped q : c_q ≤ cost}`. Nothing is scored
+/// yet.
+pub(crate) fn candidates<E: HitEvaluator>(
     ev: &E,
+    target: usize,
     cost_fn: &dyn CostFunction,
     rem_bounds: &StrategyBounds,
+    skip: impl Fn(usize) -> bool,
+    base: usize,
 ) -> Vec<Candidate> {
     let mut cands = Vec::new();
-    // Per unhit query, a lower bound on the cost of any strategy hitting
-    // it; rhs-less and unsolvable queries count as reachable at any cost.
+    // Per unskipped query, a lower bound on the cost of any strategy
+    // hitting it; rhs-less and unsolvable queries count as reachable at
+    // any cost.
     let mut reach_costs = Vec::new();
     for (q, query) in ev.instance().queries().iter().enumerate() {
-        if ev.is_hit(q) {
+        if skip(q) {
             continue;
         }
         let mut reach_cost = f64::NEG_INFINITY;
@@ -179,6 +206,7 @@ fn candidates<E: HitEvaluator>(
                 cost_fn.min_cost_to_satisfy(&query.weights, rhs, rem_bounds)
             {
                 cands.push(Candidate {
+                    target,
                     query: q,
                     strategy,
                     cost_inc,
@@ -196,11 +224,10 @@ fn candidates<E: HitEvaluator>(
         reach_costs.push(reach_cost);
     }
     reach_costs.sort_by(f64::total_cmp);
-    let hits = ev.hit_count();
     for c in &mut cands {
-        // Unhit queries whose cost bound does not exceed `c`; a NaN cost
-        // proves nothing, so it counts every query.
-        c.hit_bound = hits
+        // Unskipped queries whose cost bound does not exceed `c`; a NaN
+        // cost proves nothing, so it counts every query.
+        c.hit_bound = base
             + if c.cost_inc.is_nan() {
                 reach_costs.len()
             } else {
@@ -229,20 +256,21 @@ fn ratio_floor(cost: f64, max_hits: usize) -> f64 {
     }
 }
 
-/// `H(p + applied + s)` for one candidate, evaluated at most once per step.
-fn score<E: HitEvaluator>(ev: &mut E, c: &mut Candidate) -> usize {
+/// One candidate's score, computed by `eval` at most once per step.
+fn score(c: &mut Candidate, eval: &mut impl FnMut(&Candidate) -> usize) -> usize {
     if let Some(h) = c.hits {
         return h;
     }
-    let h = ev.evaluate(&c.strategy);
-    // A hit count above the bound means a cost function's
+    let h = eval(c);
+    // A score above the bound means a cost function's
     // `min_cost_lower_bound` is not a lower bound, and the pruning that
     // relies on it is unsound.
     #[cfg(feature = "debug-invariants")]
     assert!(
         h <= c.hit_bound,
-        "debug-invariants: candidate for query {} hits {h} queries, above its \
-         certified bound {}",
+        "debug-invariants: candidate for target {} and query {} scores {h}, above \
+         its certified bound {}",
+        c.target,
         c.query,
         c.hit_bound,
     );
@@ -251,7 +279,7 @@ fn score<E: HitEvaluator>(ev: &mut E, c: &mut Candidate) -> usize {
 }
 
 /// What one greedy step does with its best-ratio candidate.
-enum Step {
+pub(crate) enum Step {
     /// Commit candidate `i` and keep iterating.
     Commit(usize),
     /// The best candidate ends the search: Min-Cost overshoots `τ`, or
@@ -259,17 +287,18 @@ enum Step {
     Finish,
 }
 
-/// Finds the step's best cost-per-hit candidate — the first strictly
+/// Finds the step's best cost-per-score candidate — the first strictly
 /// lowest ratio in candidate order, exactly as scoring every candidate
-/// would — while scoring as few candidates as the bounds allow.
+/// would — while scoring (with `eval`) as few candidates as the bounds
+/// allow.
 ///
-/// `ends(c, hits)` says whether `c` as the best candidate ends the search.
-/// While the current best ends it, only a candidate that could become a
-/// best that does not matters; `commit_hits(c)` bounds the hits `c` can
-/// have as such a best (`None` when it always ends the search).
-fn pick<E: HitEvaluator>(
-    ev: &mut E,
+/// `ends(c, score)` says whether `c` as the best candidate ends the
+/// search. While the current best ends it, only a candidate that could
+/// become a best that does not matters; `commit_hits(c)` bounds the score
+/// `c` can have as such a best (`None` when it always ends the search).
+pub(crate) fn pick(
     cands: &mut [Candidate],
+    mut eval: impl FnMut(&Candidate) -> usize,
     ends: impl Fn(&Candidate, usize) -> bool,
     commit_hits: impl Fn(&Candidate) -> Option<usize>,
 ) -> Option<Step> {
@@ -306,7 +335,7 @@ fn pick<E: HitEvaluator>(
             skipped_from.get_or_insert(pos - 1);
             continue;
         }
-        let h = score(ev, &mut cands[i]);
+        let h = score(&mut cands[i], &mut eval);
         let r = ratio(cands[i].cost_inc, h);
         if best.is_none_or(|(b, br)| r < br || (r == br && i < b)) {
             best = Some((i, r));
@@ -328,6 +357,46 @@ fn pick<E: HitEvaluator>(
     })
 }
 
+/// One Min-Cost step (Algorithm 3 lines 7–13) toward a score of `goal`:
+/// the best-ratio candidate, or — when it would overshoot — the cheapest
+/// candidate (first among equal costs) whose score reaches `goal`. The
+/// flag says the step overshoots; `None` when there is no candidate.
+pub(crate) fn min_cost_step(
+    cands: &mut [Candidate],
+    goal: usize,
+    mut eval: impl FnMut(&Candidate) -> usize,
+) -> Option<(usize, bool)> {
+    // A best that commits scores at most `goal` (Algorithm 3 line 10).
+    match pick(
+        cands,
+        &mut eval,
+        |_, hits| hits > goal,
+        |c| Some(c.hit_bound.min(goal)),
+    )? {
+        Step::Commit(best) => Some((best, false)),
+        Step::Finish => {
+            let mut by_cost: Vec<usize> = (0..cands.len()).collect();
+            by_cost.sort_by(|&a, &b| cands[a].cost_inc.total_cmp(&cands[b].cost_inc));
+            let winner = by_cost
+                .into_iter()
+                .find(|&i| cands[i].hit_bound >= goal && score(&mut cands[i], &mut eval) >= goal)
+                .expect("the best candidate exceeds the goal, so one reaches it");
+            Some((winner, true))
+        }
+    }
+}
+
+/// The local-optimum escape hatch: counts the commits in a row that gained
+/// no hit, and says when `max_stalls` of them end the search.
+pub(crate) fn stalled(stalls: &mut usize, gained: bool, max_stalls: usize) -> bool {
+    if gained {
+        *stalls = 0;
+        return false;
+    }
+    *stalls += 1;
+    *stalls >= max_stalls
+}
+
 /// **Algorithm 3** — Min-Cost IQ: the cheapest strategy making the target
 /// hit at least `tau` queries, via the subdomain-indexed ESE evaluator.
 pub fn min_cost_iq(
@@ -339,7 +408,7 @@ pub fn min_cost_iq(
     bounds: &StrategyBounds,
     opts: &SearchOptions,
 ) -> IqReport {
-    let mut ev = TargetEvaluator::new_with(instance, index, target, &opts.exec);
+    let mut ev = ese_evaluator(instance, index, target, &opts.exec);
     run_min_cost(&mut ev, tau, cost_fn, bounds, opts)
 }
 
@@ -359,43 +428,22 @@ pub fn run_min_cost<E: HitEvaluator>(
     while ev.hit_count() < tau && iterations < opts.max_iterations {
         iterations += 1;
         let rem = bounds.remaining(ev.applied());
-        let mut cands = candidates(ev, cost_fn, &rem);
+        let mut cands = candidates(ev, 0, cost_fn, &rem, |q| ev.is_hit(q), ev.hit_count());
         evaluated += cands.len();
-        // A best that commits hits at most τ (Algorithm 3 line 10).
-        let step = pick(
-            ev,
-            &mut cands,
-            |_, hits| hits > tau,
-            |c| Some(c.hit_bound.min(tau)),
-        );
-        match step {
-            None => break, // no query can be hit within the remaining bounds
-            Some(Step::Commit(best)) => {
-                // Apply the best-ratio candidate and keep iterating
-                // (Algorithm 3 lines 10–11).
-                let before = ev.hit_count();
-                ev.apply(&cands[best].strategy);
-                if ev.hit_count() <= before {
-                    stalls += 1;
-                    if stalls >= opts.max_stalls {
-                        break;
-                    }
-                } else {
-                    stalls = 0;
-                }
-            }
-            Some(Step::Finish) => {
-                // Overshoot: take the cheapest candidate that reaches τ
-                // (Algorithm 3 line 13) and stop.
-                let mut by_cost: Vec<usize> = (0..cands.len()).collect();
-                by_cost.sort_by(|&a, &b| cands[a].cost_inc.total_cmp(&cands[b].cost_inc));
-                let winner = by_cost
-                    .into_iter()
-                    .find(|&i| cands[i].hit_bound >= tau && score(ev, &mut cands[i]) >= tau)
-                    .expect("the best candidate exceeds tau, so one reaches it");
-                ev.apply(&cands[winner].strategy);
-                break;
-            }
+        // No query can be hit within the remaining bounds.
+        let Some((best, overshoots)) = min_cost_step(&mut cands, tau, |c| ev.evaluate(&c.strategy))
+        else {
+            break;
+        };
+        // Apply the step's candidate (Algorithm 3 lines 10–11); an
+        // overshoot ends the search (line 13).
+        let before = ev.hit_count();
+        ev.apply(&cands[best].strategy);
+        if overshoots {
+            break;
+        }
+        if stalled(&mut stalls, ev.hit_count() > before, opts.max_stalls) {
+            break;
         }
     }
 
@@ -423,7 +471,7 @@ pub fn max_hit_iq(
     bounds: &StrategyBounds,
     opts: &SearchOptions,
 ) -> IqReport {
-    let mut ev = TargetEvaluator::new_with(instance, index, target, &opts.exec);
+    let mut ev = ese_evaluator(instance, index, target, &opts.exec);
     run_max_hit(&mut ev, budget, cost_fn, bounds, opts)
 }
 
@@ -444,13 +492,13 @@ pub fn run_max_hit<E: HitEvaluator>(
     while spent < budget && iterations < opts.max_iterations {
         iterations += 1;
         let rem = bounds.remaining(ev.applied());
-        let mut cands = candidates(ev, cost_fn, &rem);
+        let mut cands = candidates(ev, 0, cost_fn, &rem, |q| ev.is_hit(q), ev.hit_count());
         evaluated += cands.len();
         // Only a candidate the budget covers can be committed.
         let fits = |c: &Candidate| spent + c.cost_inc <= budget;
         let step = pick(
-            ev,
             &mut cands,
+            |c| ev.evaluate(&c.strategy),
             |c, _| !fits(c),
             |c| fits(c).then_some(c.hit_bound),
         );
@@ -460,13 +508,8 @@ pub fn run_max_hit<E: HitEvaluator>(
                 let before = ev.hit_count();
                 spent += cands[best].cost_inc;
                 ev.apply(&cands[best].strategy);
-                if ev.hit_count() <= before {
-                    stalls += 1;
-                    if stalls >= opts.max_stalls {
-                        break;
-                    }
-                } else {
-                    stalls = 0;
+                if stalled(&mut stalls, ev.hit_count() > before, opts.max_stalls) {
+                    break;
                 }
             }
             Some(Step::Finish) => {
@@ -790,56 +833,24 @@ mod tests {
         assert_eq!(r0.cost_per_hit(), f64::INFINITY);
     }
 
-    /// Hit counts read from a table by each strategy's first coordinate,
-    /// so `pick` can be driven through hand-made ties and mode switches.
-    struct TableEvaluator {
-        instance: Instance,
-        hits: Vec<usize>,
-        applied: Vector,
-    }
-
-    impl HitEvaluator for TableEvaluator {
-        fn instance(&self) -> &Instance {
-            &self.instance
-        }
-        fn hit_count(&self) -> usize {
-            0
-        }
-        fn is_hit(&self, _q: usize) -> bool {
-            false
-        }
-        fn required_rhs(&self, _q: usize) -> Option<f64> {
-            Some(-1.0)
-        }
-        fn evaluate(&mut self, s: &ImprovementStrategy) -> usize {
-            self.hits[s[0] as usize]
-        }
-        fn apply(&mut self, s: &ImprovementStrategy) {
-            self.applied += s;
-        }
-        fn applied(&self) -> &ImprovementStrategy {
-            &self.applied
-        }
-    }
-
-    /// Candidate `i` costs `cost[i]`, hits `hits[i]` queries and has hit
-    /// bound `bound[i]`.
-    fn table(cost: &[f64], hits: &[usize], bound: &[usize]) -> (TableEvaluator, Vec<Candidate>) {
-        let ev = TableEvaluator {
-            instance: random_instance(2, 1, 1, 1, 3),
-            hits: hits.to_vec(),
-            applied: Vector::zeros(1),
-        };
-        let cands = (0..cost.len())
+    /// Candidate `i` costs `cost[i]` and has hit bound `bound[i]`; its
+    /// strategy's first coordinate is `i`, so a scorer can look it up.
+    fn table(cost: &[f64], bound: &[usize]) -> Vec<Candidate> {
+        (0..cost.len())
             .map(|i| Candidate {
+                target: 0,
                 query: i,
                 strategy: Vector::from([i as f64]),
                 cost_inc: cost[i],
                 hit_bound: bound[i],
                 hits: None,
             })
-            .collect();
-        (ev, cands)
+            .collect()
+    }
+
+    /// Scores candidate `i` as `hits[i]`.
+    fn scorer(hits: &[usize]) -> impl FnMut(&Candidate) -> usize + '_ {
+        |c| hits[c.strategy[0] as usize]
     }
 
     #[test]
@@ -847,8 +858,13 @@ mod tests {
         // Both ratios are exactly 1, but candidate 1's lower floor (1/3
         // against 2/4) gets it scored first: the exhaustive rule still
         // keeps the first in candidate order.
-        let (mut ev, mut cands) = table(&[2.0, 1.0], &[2, 1], &[4, 3]);
-        let step = pick(&mut ev, &mut cands, |_, _| false, |c| Some(c.hit_bound));
+        let mut cands = table(&[2.0, 1.0], &[4, 3]);
+        let step = pick(
+            &mut cands,
+            scorer(&[2, 1]),
+            |_, _| false,
+            |c| Some(c.hit_bound),
+        );
         assert!(matches!(step, Some(Step::Commit(0))));
     }
 
@@ -860,10 +876,10 @@ mod tests {
         // candidate 1's ratio 0.15 overshooting: the step overshoots,
         // exactly as scoring all three would decide.
         let tau = 2;
-        let (mut ev, mut cands) = table(&[1.0, 1.5, 0.32], &[5, 10, 2], &[10, 10, 2]);
+        let mut cands = table(&[1.0, 1.5, 0.32], &[10, 10, 2]);
         let step = pick(
-            &mut ev,
             &mut cands,
+            scorer(&[5, 10, 2]),
             |_, hits| hits > tau,
             |c| Some(c.hit_bound.min(tau)),
         );

@@ -7,7 +7,7 @@
 //! two independently constructed builds must produce byte-identical change
 //! sequences, in the same order, every time.
 
-use iq_core::{Instance, QueryIndex, TargetEvaluator, TopKQuery};
+use iq_core::{EvalContext, Instance, QueryIndex, TopKQuery};
 use iq_geometry::Vector;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -47,22 +47,22 @@ fn evaluate_changes_order_is_build_independent() {
         .map(|&m| Vector::from([m, m, m]))
         .find(|s| {
             let index = QueryIndex::build(&inst);
-            let ev = TargetEvaluator::new(&inst, &index, target);
-            !ev.evaluate_changes(s).is_empty()
+            let ctx = EvalContext::new(&inst, &index, target);
+            !ctx.evaluate_changes(&ctx.new_cursor(), s).is_empty()
         })
         .expect("some probe strategy must flip hits");
 
     let reference: Vec<(usize, bool, bool)> = {
         let index = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &index, target);
-        ev.evaluate_changes(&s)
+        let ctx = EvalContext::new(&inst, &index, target);
+        ctx.evaluate_changes(&ctx.new_cursor(), &s)
     };
 
     for _ in 0..5 {
         let index = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &index, target);
+        let ctx = EvalContext::new(&inst, &index, target);
         assert_eq!(
-            ev.evaluate_changes(&s),
+            ctx.evaluate_changes(&ctx.new_cursor(), &s),
             reference,
             "two builds of the same instance disagreed on change order"
         );

@@ -3,12 +3,13 @@
 //! and the searches must respect their contracts.
 
 use iq_core::baselines::RtaEvaluator;
-use iq_core::search::{run_max_hit, run_min_cost};
+use iq_core::multi::{multi_max_hit_iq, multi_min_cost_iq, MultiIqReport, TargetSpec};
+use iq_core::search::{ese_evaluator, run_max_hit, run_min_cost};
 use iq_core::update::{add_object, add_query, remove_query, UpdateStats};
 use iq_core::{
-    max_hit_iq, min_cost_iq, AsymmetricLinearCost, CostFunction, EuclideanCost, ExecPolicy,
-    ExprCost, HitEvaluator, Instance, IqReport, L1Cost, QueryIndex, SearchOptions, StrategyBounds,
-    TargetEvaluator, TopKQuery, WeightedEuclideanCost,
+    max_hit_iq, min_cost_iq, AsymmetricLinearCost, CostFunction, EuclideanCost, EvalContext,
+    EvalCursor, ExecPolicy, ExprCost, HitEvaluator, Instance, IqReport, L1Cost, QueryIndex,
+    SearchOptions, StrategyBounds, TopKQuery, WeightedEuclideanCost,
 };
 use iq_expr::Expr;
 use iq_geometry::Vector;
@@ -25,6 +26,22 @@ fn report_bits(r: &IqReport) -> (Vec<u64>, u64, usize, usize, usize, usize, bool
         r.hits_after,
         r.iterations,
         r.candidates_evaluated,
+        r.achieved,
+    )
+}
+
+/// Byte-exact comparison key for a [`MultiIqReport`], floats by bits.
+type MultiBits = (Vec<Vec<u64>>, Vec<u64>, u64, usize, usize, usize, bool);
+
+fn multi_bits(r: &MultiIqReport) -> MultiBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        r.strategies.iter().map(|s| bits(s.as_slice())).collect(),
+        bits(&r.costs),
+        r.total_cost.to_bits(),
+        r.hits_before,
+        r.hits_after,
+        r.iterations,
         r.achieved,
     )
 }
@@ -223,6 +240,124 @@ fn exhaustive_oracle<E: HitEvaluator>(
     }
 }
 
+/// §5.1's combinatorial Min-Cost and Max-Hit as printed, from public parts:
+/// every `(target, query no target hits)` candidate, target-major and
+/// query-ascending under its target's cost function and remaining bounds,
+/// is solved *and scored* by its union gain; the step takes the first
+/// strictly best cost-per-gain ratio among positive gains. Min-Cost takes
+/// the cheapest candidate gaining `τ − U` when that best overshoots;
+/// Max-Hit first drops what the budget cannot cover. The library's
+/// bound-pruned drivers must reproduce its report bit for bit.
+fn multi_exhaustive_oracle(
+    inst: &Instance,
+    index: &QueryIndex,
+    targets: &[TargetSpec<'_>],
+    goal: Goal,
+) -> MultiIqReport {
+    let exec = ExecPolicy::sequential();
+    let mut evs: Vec<(EvalContext<'_>, EvalCursor)> = targets
+        .iter()
+        .map(|t| ese_evaluator(inst, index, t.target, &exec))
+        .collect();
+    // Per query: how many targets hit it.
+    let mut hit_by: Vec<u32> = (0..inst.num_queries())
+        .map(|q| evs.iter().filter(|(_, cursor)| cursor.is_hit(q)).count() as u32)
+        .collect();
+    let union = |hit_by: &[u32]| hit_by.iter().filter(|&&c| c > 0).count();
+    let hits_before = union(&hit_by);
+    let (mut iterations, mut spent) = (0, 0.0f64);
+    loop {
+        let unmet = match goal {
+            Goal::MinCost(tau) => union(&hit_by) < tau,
+            Goal::MaxHit(budget) => spent < budget,
+        };
+        if !unmet || iterations >= SearchOptions::default().max_iterations {
+            break;
+        }
+        iterations += 1;
+        // (target, strategy, cost, union gain)
+        let mut cands: Vec<(usize, Vector, f64, i64)> = Vec::new();
+        for (t, ((ctx, cursor), spec)) in evs.iter().zip(targets).enumerate() {
+            let rem = spec.bounds.remaining(cursor.applied());
+            for (q, query) in inst.queries().iter().enumerate() {
+                let Some(rhs) = ctx.required_rhs(cursor, q).filter(|_| hit_by[q] == 0) else {
+                    continue;
+                };
+                if let Some((s, c)) = spec.cost_fn.min_cost_to_satisfy(&query.weights, rhs, &rem) {
+                    let gain = ctx
+                        .evaluate_changes(cursor, &s)
+                        .iter()
+                        .map(|&(q, _, now)| match (now, hit_by[q]) {
+                            (true, 0) => 1,
+                            (false, 1) => -1,
+                            _ => 0,
+                        })
+                        .sum();
+                    cands.push((t, s, c, gain));
+                }
+            }
+        }
+        if let Goal::MaxHit(budget) = goal {
+            cands.retain(|c| spent + c.2 <= budget);
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in cands.iter().enumerate().filter(|(_, c)| c.3 > 0) {
+            let ratio = c.2 / c.3 as f64;
+            if best.is_none_or(|(_, b)| ratio < b) {
+                best = Some((i, ratio));
+            }
+        }
+        let Some((best, _)) = best else {
+            break;
+        };
+        let chosen = match goal {
+            Goal::MinCost(tau) if cands[best].3 > (tau - union(&hit_by)) as i64 => cands
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.3 >= (tau - union(&hit_by)) as i64)
+                .min_by(|(_, a), (_, b)| a.2.total_cmp(&b.2))
+                .map_or(best, |(i, _)| i),
+            _ => best,
+        };
+        let (t, s, c, _) = &cands[chosen];
+        spent += c;
+        let (ctx, cursor) = &mut evs[*t];
+        for (q, _, now) in ctx.evaluate_changes(cursor, s) {
+            hit_by[q] = if now { hit_by[q] + 1 } else { hit_by[q] - 1 };
+        }
+        ctx.apply(cursor, s);
+    }
+    let strategies: Vec<Vector> = evs.iter().map(|(_, c)| c.applied().clone()).collect();
+    let costs: Vec<f64> = strategies
+        .iter()
+        .zip(targets)
+        .map(|(s, t)| t.cost_fn.cost(s))
+        .collect();
+    MultiIqReport {
+        total_cost: costs.iter().sum(),
+        costs,
+        strategies,
+        hits_before,
+        hits_after: union(&hit_by),
+        iterations,
+        achieved: match goal {
+            Goal::MinCost(tau) => union(&hit_by) >= tau,
+            Goal::MaxHit(_) => true,
+        },
+    }
+}
+
+/// The union hit count of `targets` on `inst`, by naive top-k.
+fn union_hits_naive(inst: &Instance, targets: &[usize]) -> usize {
+    (0..inst.num_queries())
+        .filter(|&q| {
+            targets
+                .iter()
+                .any(|&t| iq_topk::naive::hits(inst.objects(), &inst.queries()[q], t))
+        })
+        .count()
+}
+
 fn strategy() -> impl Strategy<Value = Vector> {
     prop::collection::vec((-4i32..4).prop_map(|x| x as f64 / 8.0), 3).prop_map(Vector::new)
 }
@@ -234,20 +369,20 @@ proptest! {
     fn ese_fast_equals_ground_truth(inst in instance(), s in strategy(), tsel in any::<usize>()) {
         let target = tsel % inst.num_objects();
         let index = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &index, target);
-        prop_assert_eq!(ev.hit_count(), inst.hit_count_naive(target));
-        let fast = ev.evaluate(&s);
+        let (ctx, cursor) = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
+        prop_assert_eq!(cursor.hit_count(), inst.hit_count_naive(target));
+        let fast = ctx.evaluate(&cursor, &s);
         let improved = inst.with_strategy(target, &s);
         prop_assert_eq!(fast, improved.hit_count_naive(target));
-        prop_assert_eq!(ev.evaluate_pairwise(&index, &s), fast);
+        prop_assert_eq!(ctx.evaluate_pairwise(&cursor, &index, &s), fast);
     }
 
     #[test]
     fn ese_changes_report_is_exact(inst in instance(), s in strategy(), tsel in any::<usize>()) {
         let target = tsel % inst.num_objects();
         let index = QueryIndex::build(&inst);
-        let ev = TargetEvaluator::new(&inst, &index, target);
-        let changes = ev.evaluate_changes(&s);
+        let (ctx, cursor) = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
+        let changes = ctx.evaluate_changes(&cursor, &s);
         let improved = inst.with_strategy(target, &s);
         // Changes come in strictly ascending query id, whatever the shape
         // of the trees that found them.
@@ -278,7 +413,7 @@ proptest! {
     fn rta_evaluator_agrees_with_ese(inst in instance(), s in strategy(), tsel in any::<usize>()) {
         let target = tsel % inst.num_objects();
         let index = QueryIndex::build(&inst);
-        let ese = TargetEvaluator::new(&inst, &index, target);
+        let mut ese = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
         let mut rta = RtaEvaluator::new(&inst, target);
         prop_assert_eq!(ese.hit_count(), HitEvaluator::hit_count(&rta));
         prop_assert_eq!(ese.evaluate(&s), rta.evaluate(&s));
@@ -327,7 +462,6 @@ proptest! {
         t2 in any::<usize>(),
         extra in 1usize..5,
     ) {
-        use iq_core::multi::{multi_min_cost_iq, TargetSpec};
         let n = inst.num_objects();
         let (a, b) = (t1 % n, t2 % n);
         prop_assume!(a != b);
@@ -337,28 +471,15 @@ proptest! {
             TargetSpec { target: a, cost_fn: &cost, bounds: StrategyBounds::unbounded(3) },
             TargetSpec { target: b, cost_fn: &cost, bounds: StrategyBounds::unbounded(3) },
         ];
-        let union_before = (0..inst.num_queries())
-            .filter(|&q| {
-                [a, b].iter().any(|&t| {
-                    iq_topk::naive::hits(inst.objects(), &inst.queries()[q], t)
-                })
-            })
-            .count();
+        let union_before = union_hits_naive(&inst, &[a, b]);
         let tau = (union_before + extra).min(inst.num_queries());
-        let r = multi_min_cost_iq(&inst, &index, &specs, tau, 1000);
+        let r = multi_min_cost_iq(&inst, &index, &specs, tau, &SearchOptions::default());
         prop_assert_eq!(r.hits_before, union_before);
         // Ground-truth union after applying both strategies.
         let mut improved = inst.clone();
         improved.apply_strategy(a, &r.strategies[0]).unwrap();
         improved.apply_strategy(b, &r.strategies[1]).unwrap();
-        let union_after = (0..improved.num_queries())
-            .filter(|&q| {
-                [a, b].iter().any(|&t| {
-                    iq_topk::naive::hits(improved.objects(), &improved.queries()[q], t)
-                })
-            })
-            .count();
-        prop_assert_eq!(union_after, r.hits_after);
+        prop_assert_eq!(union_hits_naive(&improved, &[a, b]), r.hits_after);
         // Total cost is the sum of the per-target costs.
         let sum: f64 = r.costs.iter().sum();
         prop_assert!((sum - r.total_cost).abs() < 1e-9);
@@ -371,10 +492,18 @@ proptest! {
     fn parallel_search_equals_sequential(
         inst in instance(),
         tsel in any::<usize>(),
+        t2sel in any::<usize>(),
         extra in 1usize..6,
         budget in 0.0f64..1.0,
     ) {
         let target = tsel % inst.num_objects();
+        // A second target for the §5.1 searches.
+        let other = (target + 1 + t2sel % (inst.num_objects() - 1)) % inst.num_objects();
+        let specs = [target, other].map(|t| TargetSpec {
+            target: t,
+            cost_fn: &EuclideanCost,
+            bounds: StrategyBounds::unbounded(3),
+        });
         let bounds = StrategyBounds::unbounded(3);
         let cost = EuclideanCost;
 
@@ -388,6 +517,9 @@ proptest! {
         let tau = (inst.hit_count_naive(target) + extra).min(inst.num_queries());
         let mc_ref = min_cost_iq(&inst, &index, target, tau, &cost, &bounds, &seq);
         let mh_ref = max_hit_iq(&inst, &index, target, budget, &cost, &bounds, &seq);
+        let union_tau = (union_hits_naive(&inst, &[target, other]) + extra).min(inst.num_queries());
+        let mmc_ref = multi_min_cost_iq(&inst, &index, &specs, union_tau, &seq);
+        let mmh_ref = multi_max_hit_iq(&inst, &index, &specs, budget, &seq);
 
         for threads in [2usize, 3, 8] {
             let par = SearchOptions {
@@ -397,6 +529,8 @@ proptest! {
             let pindex = QueryIndex::build_with(&inst, &par.exec);
             let mc = min_cost_iq(&inst, &pindex, target, tau, &cost, &bounds, &par);
             let mh = max_hit_iq(&inst, &pindex, target, budget, &cost, &bounds, &par);
+            let mmc = multi_min_cost_iq(&inst, &pindex, &specs, union_tau, &par);
+            let mmh = multi_max_hit_iq(&inst, &pindex, &specs, budget, &par);
             prop_assert_eq!(
                 report_bits(&mc), report_bits(&mc_ref),
                 "min-cost report drifted at {} threads", threads
@@ -404,6 +538,14 @@ proptest! {
             prop_assert_eq!(
                 report_bits(&mh), report_bits(&mh_ref),
                 "max-hit report drifted at {} threads", threads
+            );
+            prop_assert_eq!(
+                multi_bits(&mmc), multi_bits(&mmc_ref),
+                "multi min-cost report drifted at {} threads", threads
+            );
+            prop_assert_eq!(
+                multi_bits(&mmh), multi_bits(&mmh_ref),
+                "multi max-hit report drifted at {} threads", threads
             );
         }
     }
@@ -433,7 +575,7 @@ proptest! {
                     ),
                 };
                 let ese_oracle = exhaustive_oracle(
-                    &mut TargetEvaluator::new(&inst, &index, target), goal, cost, &bounds,
+                    &mut ese_evaluator(&inst, &index, target, &ExecPolicy::sequential()), goal, cost, &bounds,
                 );
                 let rta_oracle =
                     exhaustive_oracle(&mut RtaEvaluator::new(&inst, target), goal, cost, &bounds);
@@ -444,6 +586,72 @@ proptest! {
                 prop_assert_eq!(
                     report_bits(&rta), report_bits(&rta_oracle),
                     "RTA search drifted from the oracle under {}", name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_pruned_equals_exhaustive_oracle(
+        inst in instance_with_ties(),
+        tsel in prop::collection::vec(any::<usize>(), 2..5),
+        twin in any::<bool>(),
+        signed in any::<bool>(),
+        extra in 1usize..8,
+        budget in 0.0f64..1.5,
+    ) {
+        let mut ids: Vec<usize> = tsel.iter().map(|t| t % inst.num_objects()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut objects = inst.objects().to_vec();
+        let mut queries = inst.queries().to_vec();
+        // A twin: the first target's object again, as one more target.
+        if twin {
+            objects.push(objects[ids[0]].clone());
+            ids.push(objects.len() - 1);
+        }
+        // Mixed-sign weights, so a strategy can also lose hits (duplicate
+        // queries stay duplicates).
+        if signed {
+            for q in queries.iter_mut().filter(|q| q.weights[0] > q.weights[2]) {
+                q.weights[1] = -q.weights[1];
+            }
+        }
+        let inst = Instance::new(objects, queries).unwrap();
+        prop_assume!(ids.len() >= 2);
+        let index = QueryIndex::build(&inst);
+        let tau = (union_hits_naive(&inst, &ids) + extra).min(inst.num_queries());
+        let opts = SearchOptions::default();
+        let costs = cost_functions();
+        // Every cost for all targets alike, then one cost per target in turn.
+        let mut cases: Vec<(String, Vec<TargetSpec<'_>>)> = costs
+            .iter()
+            .map(|(name, cost, bounds)| {
+                let specs = ids
+                    .iter()
+                    .map(|&t| TargetSpec { target: t, cost_fn: cost.as_ref(), bounds: bounds.clone() })
+                    .collect();
+                (name.to_string(), specs)
+            })
+            .collect();
+        let mixed = ids
+            .iter()
+            .zip(costs.iter().cycle())
+            .map(|(&t, (_, cost, bounds))| {
+                TargetSpec { target: t, cost_fn: cost.as_ref(), bounds: bounds.clone() }
+            })
+            .collect();
+        cases.push(("mixed".to_string(), mixed));
+        for (name, specs) in &cases {
+            for goal in [Goal::MinCost(tau), Goal::MaxHit(budget)] {
+                let pruned = match goal {
+                    Goal::MinCost(tau) => multi_min_cost_iq(&inst, &index, specs, tau, &opts),
+                    Goal::MaxHit(budget) => multi_max_hit_iq(&inst, &index, specs, budget, &opts),
+                };
+                let oracle = multi_exhaustive_oracle(&inst, &index, specs, goal);
+                prop_assert_eq!(
+                    multi_bits(&pruned), multi_bits(&oracle),
+                    "§5.1 search drifted from the oracle under {}", name
                 );
             }
         }

@@ -262,8 +262,8 @@ pub fn improve_with(
             })
             .collect();
         let r = match stmt.goal {
-            ImproveGoal::MinCost(tau) => multi_min_cost_iq(instance, index, &specs, tau, 10_000),
-            ImproveGoal::MaxHit(beta) => multi_max_hit_iq(instance, index, &specs, beta, 10_000),
+            ImproveGoal::MinCost(tau) => multi_min_cost_iq(instance, index, &specs, tau, opts),
+            ImproveGoal::MaxHit(beta) => multi_max_hit_iq(instance, index, &specs, beta, opts),
         };
         (
             r.strategies,

@@ -561,19 +561,27 @@ mod tests {
 
     #[test]
     fn cached_improve_is_byte_identical_to_fresh() {
-        let e = engine();
-        let first = e.execute_line(IMPROVE); // builds the cache
-        let second = e.execute_line(IMPROVE); // hits it
-        assert_eq!(first, second);
-        assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 1);
-        assert_eq!(e.metrics().cache_hits.load(Ordering::Relaxed), 1);
-        // A fresh session (no cache at all) agrees byte for byte.
-        let mut s = Session::new();
-        for sql in SEED {
-            s.execute(sql).unwrap();
+        // One target, and a broad predicate whose three targets run the
+        // combinatorial (§5.1) search on the cached index.
+        let multi = "IMPROVE objects USING queries WHERE id >= 2 MINCOST 5";
+        for improve in [IMPROVE, multi] {
+            let e = engine();
+            let first = e.execute_line(improve); // builds the cache
+            let second = e.execute_line(improve); // hits it
+            assert_eq!(first, second);
+            assert!(first.contains("hits_after"), "{first}");
+            assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 1);
+            assert_eq!(e.metrics().cache_hits.load(Ordering::Relaxed), 1);
+            // A fresh engine and a fresh session (no cache at all) agree
+            // byte for byte.
+            assert_eq!(first, engine().execute_line(improve));
+            let mut s = Session::new();
+            for sql in SEED {
+                s.execute(sql).unwrap();
+            }
+            let fresh = outcome_json(&s.execute(improve).unwrap());
+            assert_eq!(first, fresh);
         }
-        let fresh = outcome_json(&s.execute(IMPROVE).unwrap());
-        assert_eq!(first, fresh);
     }
 
     #[test]

@@ -60,6 +60,7 @@ fn main() {
     // Candidate 1 campaigns freely but social shifts cost double.
     let cost0 = EuclideanCost;
     let cost1 = WeightedEuclideanCost::new(vec![1.0, 4.0, 1.0]);
+    let opts = SearchOptions::default();
     let specs = vec![
         TargetSpec {
             target: 0,
@@ -75,25 +76,13 @@ fn main() {
 
     // --- Reach 60% of blocs at minimum repositioning cost. ---
     let tau = 180;
-    let report = multi_min_cost_iq(&instance, &index, &specs, tau, 10_000);
+    let report = multi_min_cost_iq(&instance, &index, &specs, tau, &opts);
     println!("\n[Combinatorial Min-Cost] target {tau} blocs:");
     describe(&report);
 
     // --- Or: fixed war chest, maximize coverage. ---
-    let specs = vec![
-        TargetSpec {
-            target: 0,
-            cost_fn: &cost0,
-            bounds: StrategyBounds::unbounded(3).freeze(0),
-        },
-        TargetSpec {
-            target: 1,
-            cost_fn: &cost1,
-            bounds: StrategyBounds::unbounded(3),
-        },
-    ];
     let budget = 1.0;
-    let report = multi_max_hit_iq(&instance, &index, &specs, budget, 10_000);
+    let report = multi_max_hit_iq(&instance, &index, &specs, budget, &opts);
     println!("\n[Combinatorial Max-Hit] war chest {budget}:");
     describe(&report);
     assert!(report.total_cost <= budget + 1e-6);

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use iq_core::multi::{multi_max_hit_iq, multi_min_cost_iq, TargetSpec};
     pub use iq_core::{
         max_hit_iq, min_cost_iq, CostFunction, EuclideanCost, ImprovementStrategy, Instance,
-        IqReport, L1Cost, QueryIndex, SearchOptions, StrategyBounds, TargetEvaluator, TopKQuery,
+        IqReport, L1Cost, QueryIndex, SearchOptions, StrategyBounds, TopKQuery,
         WeightedEuclideanCost,
     };
     pub use iq_dbms::{outcome_text, Outcome, Session};

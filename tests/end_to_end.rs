@@ -5,7 +5,8 @@
 use improvement_queries::core::baselines::{
     greedy_iq, random_min_cost_iq, rta_min_cost_iq, RtaEvaluator,
 };
-use improvement_queries::core::HitEvaluator;
+use improvement_queries::core::search::ese_evaluator;
+use improvement_queries::core::{ExecPolicy, HitEvaluator};
 use improvement_queries::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +51,7 @@ fn four_schemes_on_every_distribution() {
         // Greedy: may stall short of tau (it ignores hit side effects, the
         // very weakness §6.3.2 reports); when it succeeds its cost-per-hit
         // must not beat the ratio-guided search.
-        let mut gev = TargetEvaluator::new(&inst, &index, target);
+        let mut gev = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
         let greedy = greedy_iq(&mut gev, Some(tau), None, &cost, &bounds, &opts);
         assert_eq!(
             inst.with_strategy(target, &greedy.strategy)
@@ -71,7 +72,7 @@ fn four_schemes_on_every_distribution() {
         // (Per-instance quality comparisons against Random are left to the
         // aggregate benchmarks — a lucky overshooting sample can win the
         // cost-per-hit ratio on one instance while losing on average.)
-        let mut rev = TargetEvaluator::new(&inst, &index, target);
+        let mut rev = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
         let mut rng = StdRng::seed_from_u64(seed * 97);
         let rnd = random_min_cost_iq(&mut rev, tau, &cost, &bounds, &mut rng, 2000);
         assert_eq!(
@@ -183,7 +184,7 @@ fn rta_evaluator_and_ese_interchangeable_mid_search() {
     );
     let index = QueryIndex::build(&inst);
     let target = 7;
-    let mut ese = TargetEvaluator::new(&inst, &index, target);
+    let mut ese = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
     let mut rta = RtaEvaluator::new(&inst, target);
     let steps = [
         Vector::from([-0.05, -0.02]),

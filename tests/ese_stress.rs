@@ -3,7 +3,8 @@
 //! across every workload distribution. One-shot deterministic runs (no
 //! shrinking needed at this size — any failure here reproduces directly).
 
-use iq_core::{QueryIndex, TargetEvaluator};
+use iq_core::search::ese_evaluator;
+use iq_core::{ExecPolicy, HitEvaluator, QueryIndex};
 use iq_geometry::Vector;
 use iq_workload::{standard_instance, Distribution, QueryDistribution};
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ fn stress(dist: Distribution, qdist: QueryDistribution, seed: u64) {
 
     for _ in 0..3 {
         let target = rng.gen_range(0..inst.num_objects());
-        let mut ev = TargetEvaluator::new(&inst, &index, target);
+        let mut ev = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
         assert_eq!(
             ev.hit_count(),
             inst.hit_count_naive(target),

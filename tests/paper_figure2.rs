@@ -4,6 +4,7 @@
 //! inside the affected subspace between the old intersection
 //! `3q1 + 5q2 = 0` and the new one `4q1 + 5q2 = 0`.
 
+use improvement_queries::core::EvalContext;
 use improvement_queries::geometry::{Slab, Vector};
 use improvement_queries::prelude::*;
 use improvement_queries::topk::naive;
@@ -92,18 +93,23 @@ fn ese_counts_match_figure_semantics() {
     )
     .unwrap();
     let index = QueryIndex::build(&instance);
-    let ev = TargetEvaluator::new(&instance, &index, 0);
+    let ctx = EvalContext::new(&instance, &index, 0);
+    let cursor = ctx.new_cursor();
     // Before: p1 wins q1, q2, q3, q4 (Δ < 0 for all four).
-    assert_eq!(ev.hit_count(), 4);
+    assert_eq!(cursor.hit_count(), 4);
     // After s = (1, 0): p1 loses q3 and q4 (Fact 2's rank switch).
     let s = Vector::from(S);
-    assert_eq!(ev.evaluate(&s), 2);
+    assert_eq!(ctx.evaluate(&cursor, &s), 2);
     assert_eq!(
-        ev.evaluate(&s),
+        ctx.evaluate(&cursor, &s),
         instance.with_strategy(0, &s).hit_count_naive(0)
     );
     // Only the two flipping queries are reported as changes.
-    let mut changed: Vec<usize> = ev.evaluate_changes(&s).iter().map(|&(q, _, _)| q).collect();
+    let mut changed: Vec<usize> = ctx
+        .evaluate_changes(&cursor, &s)
+        .iter()
+        .map(|&(q, _, _)| q)
+        .collect();
     changed.sort_unstable();
     assert_eq!(changed, vec![2, 3]);
 }

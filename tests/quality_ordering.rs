@@ -5,6 +5,8 @@
 //! schemes can tie; this test pins the regime where they must separate.)
 
 use improvement_queries::core::baselines::{greedy_iq, random_min_cost_iq};
+use improvement_queries::core::search::ese_evaluator;
+use improvement_queries::core::ExecPolicy;
 use improvement_queries::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +40,7 @@ fn efficient_beats_greedy_on_cost_at_ambitious_tau() {
     let eff = min_cost_iq(&inst, &index, target, tau, &cost, &bounds, &opts);
     assert!(eff.achieved, "Efficient-IQ must reach tau: {eff:?}");
 
-    let mut gev = TargetEvaluator::new(&inst, &index, target);
+    let mut gev = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
     let greedy = greedy_iq(&mut gev, Some(tau), None, &cost, &bounds, &opts);
 
     // Either greedy fails outright (stalls) or pays at least as much.
@@ -74,7 +76,7 @@ fn efficient_beats_random_on_cost_at_ambitious_tau() {
     let mut wins = 0;
     let mut trials = 0;
     for seed in 0..5u64 {
-        let mut ev = TargetEvaluator::new(&inst, &index, target);
+        let mut ev = ese_evaluator(&inst, &index, target, &ExecPolicy::sequential());
         let mut rng = StdRng::seed_from_u64(seed);
         let rnd = random_min_cost_iq(&mut ev, tau, &cost, &bounds, &mut rng, 1000);
         if rnd.achieved {

@@ -2,23 +2,23 @@
 //! scores with ESE, against how many it generates. Counts, not times, so
 //! the assertions hold on any host and under debug builds.
 
-use iq_core::search::{run_max_hit, run_min_cost};
+use iq_core::search::{ese_evaluator, run_max_hit, run_min_cost};
 use iq_core::{
-    EuclideanCost, ExecPolicy, HitEvaluator, ImprovementStrategy, Instance, IqReport, QueryIndex,
-    SearchOptions, StrategyBounds, TargetEvaluator,
+    EuclideanCost, EvalContext, EvalCursor, ExecPolicy, HitEvaluator, ImprovementStrategy,
+    Instance, IqReport, QueryIndex, SearchOptions, StrategyBounds,
 };
 use iq_workload::{standard_instance, Distribution, QueryDistribution};
 
-/// [`TargetEvaluator`] that counts its ESE evaluations.
+/// The ESE evaluator, counting its evaluations.
 struct Counting<'a> {
-    inner: TargetEvaluator<'a>,
+    inner: (EvalContext<'a>, EvalCursor),
     evaluations: usize,
 }
 
 impl<'a> Counting<'a> {
     fn new(instance: &'a Instance, index: &QueryIndex, target: usize) -> Self {
         Counting {
-            inner: TargetEvaluator::new_with(instance, index, target, &ExecPolicy::sequential()),
+            inner: ese_evaluator(instance, index, target, &ExecPolicy::sequential()),
             evaluations: 0,
         }
     }
