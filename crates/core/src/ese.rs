@@ -71,6 +71,9 @@ pub struct EvalContext<'a> {
 pub struct EvalCursor {
     /// Cumulative strategy committed so far (`p_eff = p + applied`).
     applied: Vector,
+    /// `p + applied`, kept beside `applied` so scoring reads it without
+    /// allocating; refreshed by every [`EvalContext::apply`].
+    effective: Vector,
     /// Per query: current hit status of the (improved) target.
     hit: Vec<bool>,
     hit_count: usize,
@@ -140,8 +143,10 @@ impl<'a> EvalContext<'a> {
 
     /// A fresh cursor at the unimproved target (zero applied strategy).
     pub fn new_cursor(&self) -> EvalCursor {
+        let applied = Vector::zeros(self.instance.dim());
         let mut cursor = EvalCursor {
-            applied: Vector::zeros(self.instance.dim()),
+            effective: &Vector::from(self.instance.object(self.target)) + &applied,
+            applied,
             hit: vec![false; self.instance.num_queries()],
             hit_count: 0,
             scratch: Vec::new(),
@@ -156,9 +161,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// The improved target's attribute vector `p + applied` under `cursor`.
-    pub fn effective_target(&self, cursor: &EvalCursor) -> Vector {
-        let base = Vector::from(self.instance.object(self.target));
-        &base + &cursor.applied
+    pub fn effective_target<'c>(&self, cursor: &'c EvalCursor) -> &'c Vector {
+        &cursor.effective
     }
 
     /// The admission threshold of query `q` (`None` = trivially hit).
@@ -207,11 +211,10 @@ impl<'a> EvalContext<'a> {
         // Batched kernel over the contiguous weight rows; bit-identical to
         // the per-query `dot(p_eff, w_q)` (elementwise products commute,
         // accumulation order is the coordinate order either way).
-        let p_eff = self.effective_target(cursor);
         let mut scratch = std::mem::take(&mut cursor.scratch);
         self.instance
             .weights_flat()
-            .scores_into(p_eff.as_slice(), &mut scratch);
+            .scores_into(cursor.effective.as_slice(), &mut scratch);
         cursor.hit_count = 0;
         for (q, &ts) in scratch.iter().enumerate() {
             let h = self.hit_status(q, ts);
@@ -255,7 +258,7 @@ impl<'a> EvalContext<'a> {
         visit: &mut impl FnMut(usize, bool, bool),
     ) {
         let p_eff = self.effective_target(cursor);
-        let p_new = &p_eff + s;
+        let p_new = p_eff + s;
         // Slab re-scoring reads contiguous flat rows: `wf.dot_row(qi, ·)`
         // is `dot(w_q, p_new)`, bit-identical to `dot(p_new, w_q)`.
         let wf = self.instance.weights_flat();
@@ -266,7 +269,7 @@ impl<'a> EvalContext<'a> {
         let visited = std::cell::RefCell::new(vec![false; self.instance.num_queries()]);
         for group in self.grouped.group_keys() {
             let o_attrs = Vector::from(self.instance.object(group));
-            match Slab::affected_subspace(&p_eff, &o_attrs, s) {
+            match Slab::affected_subspace(p_eff, &o_attrs, s) {
                 Some(slab) => {
                     self.grouped
                         .visit_slab_tol(group, &slab, BOUNDARY_TOL, &mut |qi| {
@@ -331,14 +334,14 @@ impl<'a> EvalContext<'a> {
         s: &ImprovementStrategy,
     ) -> usize {
         let p_eff = self.effective_target(cursor);
-        let p_new = &p_eff + s;
+        let p_new = p_eff + s;
         let mut affected = vec![false; self.instance.num_queries()];
         for l in 0..self.instance.num_objects() {
             if l == self.target {
                 continue;
             }
             let o_attrs = Vector::from(self.instance.object(l));
-            if let Some(slab) = Slab::affected_subspace(&p_eff, &o_attrs, s) {
+            if let Some(slab) = Slab::affected_subspace(p_eff, &o_attrs, s) {
                 index.rtree().visit_slab_tol(&slab, BOUNDARY_TOL, &mut |e| {
                     affected[e.data] = true;
                 });
@@ -361,7 +364,7 @@ impl<'a> EvalContext<'a> {
     /// tested against (and itself validated against
     /// [`Instance::hit_count_naive`]).
     pub fn evaluate_naive(&self, cursor: &EvalCursor, s: &ImprovementStrategy) -> usize {
-        let p_new = &self.effective_target(cursor) + s;
+        let p_new = self.effective_target(cursor) + s;
         let wf = self.instance.weights_flat();
         (0..self.instance.num_queries())
             .filter(|&q| self.hit_status(q, wf.dot_row(q, p_new.as_slice())))
@@ -372,6 +375,7 @@ impl<'a> EvalContext<'a> {
     /// recomputed exactly (no incremental drift).
     pub fn apply(&self, cursor: &mut EvalCursor, s: &ImprovementStrategy) {
         cursor.applied += s;
+        cursor.effective = &Vector::from(self.instance.object(self.target)) + &cursor.applied;
         self.recompute_hits(cursor);
     }
 }

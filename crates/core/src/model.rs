@@ -188,6 +188,27 @@ impl Instance {
         Ok(())
     }
 
+    /// Overwrites object `oid`'s attribute vector in place; the object
+    /// keeps its id. The flat mirror receives a copy of the same row, as
+    /// in [`Self::apply_strategy`].
+    pub fn set_object(&mut self, oid: usize, attrs: &[f64]) -> Result<(), ModelError> {
+        if oid >= self.objects.len() {
+            return Err(ModelError::IndexOutOfRange(oid));
+        }
+        if attrs.len() != self.dim {
+            return Err(ModelError::DimensionMismatch {
+                expected: self.dim,
+                found: attrs.len(),
+            });
+        }
+        if attrs.iter().any(|v| !v.is_finite()) {
+            return Err(ModelError::NonFinite);
+        }
+        self.objects[oid].copy_from_slice(attrs);
+        self.objects_flat.set_row(oid, attrs);
+        Ok(())
+    }
+
     /// A copy of the instance with the strategy applied — used by oracles
     /// that must not disturb the original.
     pub fn with_strategy(&self, target: usize, s: &ImprovementStrategy) -> Instance {
@@ -399,6 +420,10 @@ mod tests {
         assert_mirrors_coherent(&inst);
         inst.pop_object();
         assert_mirrors_coherent(&inst);
+        inst.set_object(1, &[-0.0, 7.5, 1e-300]).unwrap();
+        assert_mirrors_coherent(&inst);
+        assert!(inst.set_object(5, &[0.0; 3]).is_err());
+        assert!(inst.set_object(0, &[f64::NAN, 0.0, 0.0]).is_err());
         inst.swap_remove_query(0);
         assert_mirrors_coherent(&inst);
         inst.remove_query(0);

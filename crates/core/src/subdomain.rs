@@ -45,8 +45,9 @@ pub struct QueryIndex {
     pub(crate) kprime: usize,
     /// Per query: subdomain id.
     pub(crate) subdomain_of: Vec<u32>,
-    /// Subdomains in creation order (entries may become empty after
-    /// incremental removals; ids stay stable).
+    /// The live subdomains. A build numbers them in query order; an
+    /// incremental update that empties one removes it and gives its id to
+    /// the last entry, so none is ever empty.
     pub(crate) subdomains: Vec<SubdomainEntry>,
     /// Toplist → subdomain id, for incremental query assignment (§4.3).
     pub(crate) by_toplist: BTreeMap<Vec<u32>, u32>,

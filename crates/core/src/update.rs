@@ -1,5 +1,5 @@
-//! Incremental data updating (§4.3): adding/removing queries and objects
-//! without rebuilding the subdomain index.
+//! Incremental data updating (§4.3): adding/removing queries and adding,
+//! moving and removing objects without rebuilding the subdomain index.
 //!
 //! * **Add query** — the paper's heuristic: probe the subdomains of the new
 //!   point's k nearest neighbours before falling back to a full
@@ -7,25 +7,38 @@
 //!   only if (a) its candidate list is correctly ordered under the new
 //!   query (the paper's boundary-intersection check) and (b) no outside
 //!   object beats the list's tail — together these pin the new query's
-//!   top-`K'` exactly, so a fast-accept never mis-assigns.
+//!   top-`K'` exactly, so a fast-accept never mis-assigns. The new query's
+//!   scores are computed once; (b) and the fallback selection read them.
 //! * **Remove query** — O(1) swap-removal with id patching.
-//! * **Add object** — every query whose candidate list the newcomer
-//!   penetrates (score better than the list tail) is recomputed and
-//!   regrouped; everyone else is untouched.
+//! * **Add / move an object** — one O(d) test per query against its
+//!   current list `L`: an object that now beats `L`'s tail (or, if it was
+//!   in `L`, the worst *other* member) is spliced in at its rank in
+//!   O(K'); a member that falls behind every other member forces one full
+//!   top-`K'` refill of that query; every other query is untouched
+//!   (Kosmatopoulos & Tsichlas's touch-only-what-changes rule for top-k
+//!   answers, applied per toplist).
 //! * **Remove object** — only the highest-id object can be removed (ids
 //!   stay stable). The §4.3 bloom filter gives a fast *definitely
 //!   unaffected* answer; otherwise the subdomains whose candidate list
 //!   mentions the object are rebuilt.
+//!
+//! Every path regroups the queries whose list changed. An update that
+//! empties a subdomain removes it, so the index holds only live
+//! subdomains however many updates it absorbs.
 
 use crate::model::{Instance, ModelError, TopKQuery};
 use crate::subdomain::{QueryIndex, SubdomainEntry};
 use iq_topk::naive::{self, rank_cmp, score};
+use std::cmp::Ordering;
 
 /// Statistics about how much work an update operation did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Queries whose candidate list was recomputed from scratch.
     pub toplists_recomputed: usize,
+    /// Queries whose candidate list took an object at its rank in place
+    /// (no full recomputation).
+    pub toplists_spliced: usize,
     /// Queries assigned via the kNN fast path (no full recomputation).
     pub fast_assignments: usize,
     /// Whether the bloom filter short-circuited an object removal.
@@ -49,48 +62,53 @@ fn debug_check(instance: &Instance, index: &QueryIndex) {
     let _ = (instance, index);
 }
 
-fn compute_toplist(instance: &Instance, weights: &[f64], kprime: usize) -> Vec<u32> {
-    naive::top_k(instance.objects(), weights, kprime)
+fn compute_toplist(
+    instance: &Instance,
+    weights: &[f64],
+    kprime: usize,
+    scratch: &mut Vec<f64>,
+) -> Vec<u32> {
+    naive::top_k_flat(instance.objects_flat(), weights, kprime, scratch)
         .into_iter()
         .map(|i| i as u32)
         .collect()
 }
 
 /// Exact membership probe: is `toplist` the correct ordered top-`K'` for
-/// `weights`? Checks (a) internal order and (b) that no outside object
-/// penetrates the tail. `O(K'·d + n·d)` without sorting.
-fn toplist_matches(instance: &Instance, weights: &[f64], toplist: &[u32]) -> bool {
+/// the query whose score of every object is `scores[o]`? Checks (a)
+/// internal order and (b) that no outside object beats the tail: exactly
+/// `len − 1` objects (the other members) may rank before it. `O(K' + n)`.
+fn toplist_matches(scores: &[f64], kprime: usize, toplist: &[u32]) -> bool {
+    if toplist.len() != kprime.min(scores.len()) {
+        return false;
+    }
     // (a) ordered under this query, with the id tie-break.
-    let scores: Vec<f64> = toplist
-        .iter()
-        .map(|&o| score(instance.object(o as usize), weights))
-        .collect();
-    for w in 0..toplist.len().saturating_sub(1) {
-        if rank_cmp(
-            scores[w],
-            toplist[w] as usize,
-            scores[w + 1],
-            toplist[w + 1] as usize,
-        ) != std::cmp::Ordering::Less
-        {
-            return false;
-        }
+    let ranked = |a: u32, b: u32| {
+        rank_cmp(
+            scores[a as usize],
+            a as usize,
+            scores[b as usize],
+            b as usize,
+        ) == Ordering::Less
+    };
+    if !toplist.windows(2).all(|w| ranked(w[0], w[1])) {
+        return false;
     }
     // (b) no outsider beats the tail.
-    let Some((&tail, &tail_score)) = toplist.last().zip(scores.last()) else {
-        return instance.num_objects() == 0;
+    let Some(&tail) = toplist.last() else {
+        return true;
     };
-    let member: std::collections::HashSet<u32> = toplist.iter().copied().collect();
-    for (o, attrs) in instance.objects().iter().enumerate() {
-        if member.contains(&(o as u32)) {
-            continue;
-        }
-        let s = score(attrs, weights);
-        if rank_cmp(s, o, tail_score, tail as usize) == std::cmp::Ordering::Less {
-            return false;
+    let (tail, tail_score) = (tail as usize, scores[tail as usize]);
+    let mut ahead = 0usize;
+    for (o, &s) in scores.iter().enumerate() {
+        if rank_cmp(s, o, tail_score, tail) == Ordering::Less {
+            ahead += 1;
+            if ahead == toplist.len() {
+                return false;
+            }
         }
     }
-    true
+    ahead == toplist.len() - 1
 }
 
 fn assign_to_subdomain(index: &mut QueryIndex, qid: usize, toplist: Vec<u32>) {
@@ -117,19 +135,42 @@ fn assign_to_subdomain(index: &mut QueryIndex, qid: usize, toplist: Vec<u32>) {
     }
 }
 
+/// Takes `qid` out of its subdomain's member list. A subdomain left
+/// without members is removed: the last subdomain takes over its id and
+/// its members' assignments are patched. `subdomain_of[qid]` is stale
+/// afterwards; the caller reassigns or drops the query.
 fn detach_from_subdomain(index: &mut QueryIndex, qid: usize) {
     let sd = index.subdomain_of[qid] as usize;
     let members = &mut index.subdomains[sd].queries;
     if let Some(pos) = members.iter().position(|&q| q == qid as u32) {
         members.swap_remove(pos);
     }
-    if members.is_empty() {
-        // Keep the entry (ids are stable) but drop the lookup so a future
-        // identical toplist re-uses it cleanly.
-        let toplist = index.subdomains[sd].toplist.clone();
-        index.by_toplist.remove(&toplist);
-        // Re-adding the same toplist later creates a fresh entry; the empty
-        // one stays as a tombstone.
+    if !members.is_empty() {
+        return;
+    }
+    let last = index.subdomains.len() - 1;
+    let emptied = index.subdomains.swap_remove(sd);
+    if index.by_toplist.get(&emptied.toplist) == Some(&(sd as u32)) {
+        index.by_toplist.remove(&emptied.toplist);
+    }
+    if sd != last {
+        let moved = &index.subdomains[sd];
+        for &q in &moved.queries {
+            index.subdomain_of[q as usize] = sd as u32;
+        }
+        if let Some(id) = index.by_toplist.get_mut(&moved.toplist) {
+            if *id == last as u32 {
+                *id = sd as u32;
+            }
+        }
+    }
+}
+
+/// Regroups each `(query, new toplist)` pair.
+fn reassign(index: &mut QueryIndex, changed: Vec<(usize, Vec<u32>)>) {
+    for (q, toplist) in changed {
+        detach_from_subdomain(index, q);
+        assign_to_subdomain(index, q, toplist);
     }
 }
 
@@ -149,6 +190,8 @@ pub fn add_query(
     );
     let weights = query.weights.clone();
     let qid = instance.push_query(query)?;
+    let mut scores = Vec::new();
+    instance.objects_flat().scores_into(&weights, &mut scores);
 
     // Candidate subdomains from the nearest indexed query points.
     let mut assigned = false;
@@ -159,8 +202,9 @@ pub fn add_query(
             continue;
         }
         probed.push(sd);
-        let toplist = index.subdomains[sd as usize].toplist.clone();
-        if toplist_matches(instance, &weights, &toplist) {
+        let toplist = &index.subdomains[sd as usize].toplist;
+        if toplist_matches(&scores, index.kprime, toplist) {
+            let toplist = toplist.clone();
             assign_to_subdomain(index, qid, toplist);
             stats.fast_assignments += 1;
             assigned = true;
@@ -168,7 +212,10 @@ pub fn add_query(
         }
     }
     if !assigned {
-        let toplist = compute_toplist(instance, &weights, index.kprime);
+        let toplist = naive::top_k_from_scores(&scores, index.kprime)
+            .into_iter()
+            .map(|i| i as u32)
+            .collect();
         stats.toplists_recomputed += 1;
         assign_to_subdomain(index, qid, toplist);
     }
@@ -218,8 +265,8 @@ pub fn remove_query(
     Some(removed)
 }
 
-/// **Add an object** (§4.3): recompute only the queries whose candidate
-/// list the newcomer penetrates. Returns the new object id.
+/// **Add an object** (§4.3): splice the newcomer into every list whose
+/// tail it beats (or that is shorter than `K'`). Returns the new object id.
 pub fn add_object(
     instance: &mut Instance,
     index: &mut QueryIndex,
@@ -227,34 +274,88 @@ pub fn add_object(
     stats: &mut UpdateStats,
 ) -> Result<usize, ModelError> {
     let oid = instance.push_object(attrs)?;
-    // Collect affected queries per subdomain (penetration is per query:
-    // the newcomer's score varies inside a subdomain).
-    let mut reassign: Vec<(usize, Vec<u32>)> = Vec::new();
-    for sd in 0..index.subdomains.len() {
-        let entry = &index.subdomains[sd];
-        let Some(&tail) = entry.toplist.last() else {
-            continue;
+    rerank_object(instance, index, oid, stats);
+    debug_check(instance, index);
+    Ok(oid)
+}
+
+/// **Move an object**: object `oid` takes the attribute vector `attrs`
+/// and keeps its id. Per query, with `L` its current list:
+///
+/// * *entering* — `oid ∉ L` and now beats `L`'s tail: spliced in at its
+///   rank, the tail dropped;
+/// * *staying* — `oid ∈ L` and now beats the worst other member (or `L`
+///   is shorter than `K'`, so it holds every object): re-spliced. Every
+///   outsider ranks behind every other member, so the list stays exact;
+/// * *leaving* — `oid ∈ L` and behind every other member: one full
+///   top-`K'` refill, since some outsider may now beat it;
+/// * anything else is untouched.
+///
+/// The test runs per query, not per subdomain: the moved object's score
+/// differs between the queries of one subdomain.
+pub fn move_object(
+    instance: &mut Instance,
+    index: &mut QueryIndex,
+    oid: usize,
+    attrs: &[f64],
+    stats: &mut UpdateStats,
+) -> Result<(), ModelError> {
+    instance.set_object(oid, attrs)?;
+    rerank_object(instance, index, oid, stats);
+    debug_check(instance, index);
+    Ok(())
+}
+
+/// Brings every toplist up to date after object `oid` was appended or
+/// moved (the instance already holds its new attributes), then regroups
+/// the queries whose list changed. See [`move_object`] for the cases.
+fn rerank_object(instance: &Instance, index: &mut QueryIndex, oid: usize, stats: &mut UpdateStats) {
+    let kprime = index.kprime;
+    let id = oid as u32;
+    let object = instance.object(oid);
+    let mut scratch = Vec::new();
+    let mut changed: Vec<(usize, Vec<u32>)> = Vec::new();
+    for entry in &index.subdomains {
+        let list = &entry.toplist;
+        let pos = list.iter().position(|&o| o == id);
+        // The member `oid` must beat for a splice to keep the list exact:
+        // the tail, or the worst member other than `oid` itself.
+        let bar = match pos {
+            Some(p) if p + 1 == list.len() => list.len().checked_sub(2).map(|i| list[i]),
+            _ => list.last().copied(),
         };
         for &q in &entry.queries {
             let weights = &instance.queries()[q as usize].weights;
-            let new_score = score(instance.object(oid), weights);
-            let tail_score = score(instance.object(tail as usize), weights);
-            let penetrates = rank_cmp(new_score, oid, tail_score, tail as usize)
-                == std::cmp::Ordering::Less
-                || entry.toplist.len() < index.kprime;
-            if penetrates {
-                let toplist = compute_toplist(instance, weights, index.kprime);
+            let s = score(object, weights);
+            let beats_bar = bar.is_some_and(|b| {
+                let b = b as usize;
+                rank_cmp(s, oid, score(instance.object(b), weights), b) == Ordering::Less
+            });
+            let new_list = if list.len() < kprime || beats_bar {
+                let mut l = list.clone();
+                if let Some(p) = pos {
+                    l.remove(p);
+                }
+                let at = l.partition_point(|&o| {
+                    let o = o as usize;
+                    rank_cmp(score(instance.object(o), weights), o, s, oid) == Ordering::Less
+                });
+                l.insert(at, id);
+                l.truncate(kprime);
+                stats.toplists_spliced += 1;
+                l
+            } else if pos.is_some() {
                 stats.toplists_recomputed += 1;
-                reassign.push((q as usize, toplist));
+                compute_toplist(instance, weights, kprime, &mut scratch)
+            } else {
+                continue;
+            };
+            if new_list != *list {
+                changed.push((q as usize, new_list));
             }
         }
     }
-    for (q, toplist) in reassign {
-        detach_from_subdomain(index, q);
-        assign_to_subdomain(index, q, toplist);
-    }
-    debug_check(instance, index);
-    Ok(oid)
+    reassign(index, changed);
 }
 
 /// **Remove the last object** (§4.3): the bloom filter answers "definitely
@@ -278,23 +379,20 @@ pub fn remove_last_object(
         debug_check(instance, index);
         return Some(removed);
     }
-    let mut reassign: Vec<(usize, Vec<u32>)> = Vec::new();
-    for sd in 0..index.subdomains.len() {
-        let entry = &index.subdomains[sd];
+    let mut scratch = Vec::new();
+    let mut changed: Vec<(usize, Vec<u32>)> = Vec::new();
+    for entry in &index.subdomains {
         if !entry.toplist.contains(&(oid as u32)) {
             continue;
         }
         for &q in &entry.queries {
             let weights = &instance.queries()[q as usize].weights;
-            let toplist = compute_toplist(instance, weights, index.kprime);
+            let toplist = compute_toplist(instance, weights, index.kprime, &mut scratch);
             stats.toplists_recomputed += 1;
-            reassign.push((q as usize, toplist));
+            changed.push((q as usize, toplist));
         }
     }
-    for (q, toplist) in reassign {
-        detach_from_subdomain(index, q);
-        assign_to_subdomain(index, q, toplist);
-    }
+    reassign(index, changed);
     debug_check(instance, index);
     Some(removed)
 }
@@ -425,9 +523,39 @@ mod tests {
             assert_equivalent_to_rebuild(&inst, &index);
         }
         assert!(
-            stats.toplists_recomputed > 0,
+            stats.toplists_spliced > 0,
             "strong objects must disturb lists"
         );
+        assert_eq!(stats.toplists_recomputed, 0, "an append only splices");
+    }
+
+    #[test]
+    fn move_objects_in_place() {
+        let mut inst = random_instance(25, 30, 3, 3, 71);
+        let mut index = QueryIndex::build(&inst);
+        let mut rnd = lcg(19);
+        let mut stats = UpdateStats::default();
+        for round in 0..30 {
+            let oid = (rnd() * 25.0) as usize;
+            // Alternate between pushing an object to the front (enters or
+            // stays in many lists), to the back (leaves them) and a random
+            // spot.
+            let attrs: Vec<f64> = match round % 3 {
+                0 => (0..3).map(|_| rnd() * 0.05).collect(),
+                1 => (0..3).map(|_| 0.95 + rnd() * 0.05).collect(),
+                _ => (0..3).map(|_| rnd()).collect(),
+            };
+            move_object(&mut inst, &mut index, oid, &attrs, &mut stats).unwrap();
+            assert_eq!(inst.object(oid), attrs.as_slice());
+            assert_equivalent_to_rebuild(&inst, &index);
+            assert!(
+                index.subdomains.iter().all(|s| !s.queries.is_empty()),
+                "moves left an empty subdomain behind"
+            );
+        }
+        assert!(stats.toplists_spliced > 0, "no move entered a list");
+        assert!(stats.toplists_recomputed > 0, "no move left a list");
+        assert!(move_object(&mut inst, &mut index, 99, &[0.0; 3], &mut stats).is_err());
     }
 
     #[test]

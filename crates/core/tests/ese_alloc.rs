@@ -1,0 +1,80 @@
+//! Scoring one query against the improved target must not allocate:
+//! `required_rhs` and `reach_rhs` run once per query per candidate solve,
+//! so an allocation there multiplies by the whole workload.
+//!
+//! A counting global allocator tallies allocations made on the calling
+//! thread only, so other tests running in parallel cannot disturb the
+//! count.
+
+use iq_core::{EvalContext, ExecPolicy, ImprovementStrategy, Instance, QueryIndex, TopKQuery};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// thread-local counter has a const initializer, so bumping it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn instance(n: usize, m: usize, d: usize) -> Instance {
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let mut rnd = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64) / ((1u64 << 53) as f64)
+    };
+    let objects = (0..n).map(|_| (0..d).map(|_| rnd()).collect()).collect();
+    let queries = (0..m)
+        .map(|i| TopKQuery::new((0..d).map(|_| rnd()).collect(), 1 + i % 5))
+        .collect();
+    Instance::new(objects, queries).unwrap()
+}
+
+#[test]
+fn rhs_scoring_allocates_nothing() {
+    let inst = instance(400, 150, 3);
+    let index = QueryIndex::build_with(&inst, &ExecPolicy::sequential());
+    let ctx = EvalContext::new_with(&inst, &index, 7, &ExecPolicy::sequential());
+    let mut cursor = ctx.new_cursor();
+    // Score at the unimproved target and again after a committed step.
+    for step in 0..2 {
+        let before = allocations();
+        let mut sum = 0.0;
+        for q in 0..inst.num_queries() {
+            sum += ctx.required_rhs(&cursor, q).unwrap_or(0.0);
+            sum += ctx.reach_rhs(&cursor, q).unwrap_or(0.0);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "step {step}: scoring {} queries allocated",
+            inst.num_queries()
+        );
+        assert!(sum.is_finite());
+        ctx.apply(&mut cursor, &ImprovementStrategy::from([-0.05, -0.02, 0.0]));
+    }
+}

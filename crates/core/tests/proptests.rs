@@ -5,7 +5,9 @@
 use iq_core::baselines::RtaEvaluator;
 use iq_core::multi::{multi_max_hit_iq, multi_min_cost_iq, MultiIqReport, TargetSpec};
 use iq_core::search::{ese_evaluator, run_max_hit, run_min_cost};
-use iq_core::update::{add_object, add_query, remove_query, UpdateStats};
+use iq_core::update::{
+    add_object, add_query, move_object, remove_last_object, remove_query, UpdateStats,
+};
 use iq_core::{
     max_hit_iq, min_cost_iq, AsymmetricLinearCost, CostFunction, EuclideanCost, EvalContext,
     EvalCursor, ExecPolicy, ExprCost, HitEvaluator, Instance, IqReport, L1Cost, QueryIndex,
@@ -691,6 +693,75 @@ proptest! {
             let a = &index.toplist_of(q)[..common.min(index.toplist_of(q).len())];
             let b = &fresh.toplist_of(q)[..common.min(fresh.toplist_of(q).len())];
             prop_assert_eq!(a, b, "query {} stale", q);
+        }
+    }
+
+    /// Random interleavings of every §4.3 update — object moves (to a
+    /// random spot, onto another object's exact position, and of a list's
+    /// tail member), object appends (duplicates included), query appends,
+    /// last-object and query removals — keep the maintained index equal to
+    /// a fresh build after every step: same toplist per query, same query
+    /// partition. Query 0 carries the largest k and is never removed, so
+    /// both indexes keep the same `K'`.
+    #[test]
+    fn moves_and_inserts_equal_a_fresh_build(
+        inst in instance_with_ties(),
+        ops in prop::collection::vec(
+            (0u8..7, any::<usize>(), any::<usize>(), prop::collection::vec(coord(), 3), 1usize..4),
+            1..24,
+        ),
+    ) {
+        let mut queries = inst.queries().to_vec();
+        queries[0].k = 3;
+        let mut live = Instance::new(inst.objects().to_vec(), queries).unwrap();
+        let mut index = QueryIndex::build(&live);
+        let mut stats = UpdateStats::default();
+        for (step, (op, a, b, coords, k)) in ops.into_iter().enumerate() {
+            let n = live.num_objects();
+            match op {
+                0 => move_object(&mut live, &mut index, a % n, &coords, &mut stats).unwrap(),
+                1 => {
+                    let attrs = live.object(b % n).to_vec();
+                    move_object(&mut live, &mut index, a % n, &attrs, &mut stats).unwrap();
+                }
+                2 => {
+                    let tail = *index.toplist_of(a % live.num_queries()).last().unwrap();
+                    move_object(&mut live, &mut index, tail as usize, &coords, &mut stats).unwrap();
+                }
+                3 => {
+                    let attrs = if a % 2 == 0 { coords } else { live.object(b % n).to_vec() };
+                    add_object(&mut live, &mut index, attrs, &mut stats).unwrap();
+                }
+                4 => {
+                    add_query(&mut live, &mut index, TopKQuery::new(coords, k), &mut stats)
+                        .unwrap();
+                }
+                5 if n > 1 => {
+                    remove_last_object(&mut live, &mut index, &mut stats);
+                }
+                6 if live.num_queries() > 1 => {
+                    let qid = 1 + a % (live.num_queries() - 1);
+                    remove_query(&mut live, &mut index, qid);
+                }
+                _ => {}
+            }
+            index.check_invariants(&live).map_err(TestCaseError::fail)?;
+            let fresh = QueryIndex::build(&live);
+            prop_assert_eq!(index.kprime(), fresh.kprime());
+            for q in 0..live.num_queries() {
+                prop_assert_eq!(
+                    index.toplist_of(q), fresh.toplist_of(q),
+                    "step {}: query {} differs from a fresh build", step, q
+                );
+                for p in 0..q {
+                    prop_assert_eq!(
+                        index.subdomain_of(p) == index.subdomain_of(q),
+                        fresh.subdomain_of(p) == fresh.subdomain_of(q),
+                        "step {}: queries {} and {} grouped differently", step, p, q
+                    );
+                }
+            }
+            prop_assert_eq!(index.num_subdomains(), fresh.num_subdomains());
         }
     }
 }

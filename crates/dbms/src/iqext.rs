@@ -18,6 +18,7 @@ use crate::table::Table;
 use crate::value::{ColumnType, Value};
 use crate::DbError;
 use iq_core::multi::{multi_max_hit_iq, multi_min_cost_iq, TargetSpec};
+use iq_core::update::{self, UpdateStats};
 use iq_core::{
     max_hit_iq, min_cost_iq, CostFunction, EuclideanCost, Instance, L1Cost, QueryIndex,
     SearchOptions, StrategyBounds, TopKQuery,
@@ -50,7 +51,26 @@ pub fn build_instance(objects: &Table, queries: &Table) -> Result<(Instance, Vec
     }
     let d = attrs.len();
 
-    // Weight columns w1..wd and the k column.
+    let (wcols, kcol) = query_columns(queries, d)?;
+    let mut object_rows = Vec::with_capacity(objects.len());
+    for row in objects.rows() {
+        let mut o = Vec::with_capacity(d);
+        for &c in &attrs {
+            o.push(numeric(&row[c], "attribute")?);
+        }
+        object_rows.push(o);
+    }
+    let mut query_rows = Vec::with_capacity(queries.len());
+    for row in queries.rows() {
+        query_rows.push(query_row(row, &wcols, kcol)?);
+    }
+    let instance =
+        Instance::new(object_rows, query_rows).map_err(|e| DbError::Improve(e.to_string()))?;
+    Ok((instance, attrs))
+}
+
+/// The weight columns `w1..wd` and the INT column `k` of a query table.
+fn query_columns(queries: &Table, d: usize) -> Result<(Vec<usize>, usize), DbError> {
     let mut wcols = Vec::with_capacity(d);
     for j in 0..d {
         let name = format!("w{}", j + 1);
@@ -68,34 +88,44 @@ pub fn build_instance(objects: &Table, queries: &Table) -> Result<(Instance, Vec
     if queries.schema.columns()[kcol].ty != ColumnType::Int {
         return Err(DbError::Improve("column `k` must be INT".into()));
     }
+    Ok((wcols, kcol))
+}
 
-    let mut object_rows = Vec::with_capacity(objects.len());
-    for row in objects.rows() {
-        let mut o = Vec::with_capacity(d);
-        for &c in &attrs {
-            o.push(numeric(&row[c], "attribute")?);
-        }
-        object_rows.push(o);
+/// One query-table row as a top-k query.
+fn query_row(row: &[Value], wcols: &[usize], kcol: usize) -> Result<TopKQuery, DbError> {
+    let mut w = Vec::with_capacity(wcols.len());
+    for &c in wcols {
+        w.push(numeric(&row[c], "weight")?);
     }
-    let mut query_rows = Vec::with_capacity(queries.len());
-    for row in queries.rows() {
-        let mut w = Vec::with_capacity(d);
-        for &c in &wcols {
-            w.push(numeric(&row[c], "weight")?);
+    let k = match &row[kcol] {
+        Value::Int(k) if *k >= 1 => *k as usize,
+        other => {
+            return Err(DbError::Improve(format!(
+                "k must be a positive INT, got {other}"
+            )))
         }
-        let k = match &row[kcol] {
-            Value::Int(k) if *k >= 1 => *k as usize,
-            other => {
-                return Err(DbError::Improve(format!(
-                    "k must be a positive INT, got {other}"
-                )))
-            }
-        };
-        query_rows.push(TopKQuery::new(w, k));
-    }
-    let instance =
-        Instance::new(object_rows, query_rows).map_err(|e| DbError::Improve(e.to_string()))?;
-    Ok((instance, attrs))
+    };
+    Ok(TopKQuery::new(w, k))
+}
+
+/// Whether `row`'s cells in `cols` hold exactly `values`, bit for bit.
+fn same_bits(row: &[Value], cols: &[usize], values: &[f64]) -> bool {
+    cols.iter()
+        .zip(values)
+        .all(|(&c, v)| row[c].as_f64().is_some_and(|x| x.to_bits() == v.to_bits()))
+}
+
+/// `row`'s cells in `cols` as finite numbers, or the reason a fresh build
+/// must judge the row instead.
+fn finite_cells(row: &[Value], cols: &[usize]) -> Result<Vec<f64>, NeedsRebuild> {
+    cols.iter()
+        .map(|&c| {
+            row[c]
+                .as_f64()
+                .filter(|x| x.is_finite())
+                .ok_or(NeedsRebuild("a cell is not a finite number"))
+        })
+        .collect()
 }
 
 fn bounds_for(
@@ -119,22 +149,24 @@ fn bounds_for(
     Ok(bounds)
 }
 
-/// A prebuilt IQ evaluation context for one `(objects, queries)` table
-/// pair: the extracted instance plus its subdomain index.
-///
 /// Per-target write-back deltas: `(object row, per-attribute delta)`
 /// pairs, the second half of every IMPROVE search result.
 pub type TargetDeltas = Vec<(usize, Vec<f64>)>;
 
+/// A prebuilt IQ evaluation context for one `(objects, queries)` table
+/// pair: the extracted instance plus its subdomain index.
+///
 /// Building the index dominates IMPROVE latency, so the serving layer
-/// caches a `Prepared` per table pair and hands it to [`improve_with`];
-/// any mutation of either table must drop (or incrementally update) the
-/// cache — index staleness is the *caller's* responsibility, nothing here
-/// re-checks the tables. Determinism note: a cached index and a freshly
-/// built one yield byte-identical strategies, because the search depends
-/// only on the instance's exact toplists/thresholds ("same subdomain ⇒
-/// identical candidate list") — which is what makes caching safe for the
-/// server's replay tests.
+/// caches a `Prepared` per table pair and hands it to [`improve_with`].
+/// A `Prepared` records no version of the tables it came from: before
+/// searching with one, the holder must know that no write reached either
+/// table since it was built or last [reconciled](Prepared::reconcile).
+/// Reconciling brings it level with the tables' current rows in place.
+/// Determinism note: a reconciled or cached index and a freshly built one
+/// yield byte-identical strategies, because the search depends only on
+/// the instance's exact coordinates and toplists/thresholds ("same
+/// subdomain ⇒ identical candidate list") — which is what makes caching
+/// safe for the server's replay tests.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The extracted IQ instance.
@@ -144,6 +176,25 @@ pub struct Prepared {
     /// The subdomain index over `instance`.
     pub index: QueryIndex,
 }
+
+/// What one [`Prepared::reconcile`] applied.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReconcileStats {
+    /// Indexed object rows whose attributes changed, moved in place.
+    pub moved_objects: usize,
+    /// Object rows appended since the last reconcile.
+    pub added_objects: usize,
+    /// Query rows appended since the last reconcile.
+    pub added_queries: usize,
+    /// The index work those updates did.
+    pub update: UpdateStats,
+}
+
+/// Why [`Prepared::reconcile`] gave up: the tables no longer line up row
+/// for row with the indexed instance, or hold a row a build would reject.
+/// Build afresh; the build reports any error in the tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NeedsRebuild(pub &'static str);
 
 impl Prepared {
     /// Extracts the instance and builds the subdomain index with the given
@@ -160,6 +211,92 @@ impl Prepared {
             attrs,
             index,
         })
+    }
+
+    /// Brings the entry level with the tables' current rows, in place.
+    /// Row `i` of a table is object (or query) `i`, so one pass compares
+    /// every row with the instance by `f64::to_bits`:
+    ///
+    /// * a changed object row moves the object ([`update::move_object`]);
+    /// * an appended object row adds it ([`update::add_object`]);
+    /// * an appended query row adds it ([`update::add_query`]).
+    ///
+    /// Returns [`NeedsRebuild`] — before mutating anything — when either
+    /// table has fewer rows than the instance, an indexed query row
+    /// changed, the attribute or weight columns moved, the entry was
+    /// built from two empty tables, a new query has `k ≥ K'`, or a cell
+    /// is not a finite number. Afterwards the entry answers exactly as
+    /// [`Prepared::build`] over the same tables would. The diff costs
+    /// `O((|D| + |Q|)·d)`; the updates cost what they touch.
+    pub fn reconcile(
+        &mut self,
+        objects: &Table,
+        queries: &Table,
+    ) -> Result<ReconcileStats, NeedsRebuild> {
+        let inst = &self.instance;
+        let (n, m) = (inst.num_objects(), inst.num_queries());
+        if objects.len() < n || queries.len() < m {
+            return Err(NeedsRebuild("a table lost rows"));
+        }
+        if attribute_columns(objects) != self.attrs {
+            return Err(NeedsRebuild("the attribute columns moved"));
+        }
+        if inst.dim() != self.attrs.len() {
+            // Built from two empty tables, the instance took dimension 0.
+            return Err(NeedsRebuild("the instance has no dimension yet"));
+        }
+        let (wcols, kcol) = query_columns(queries, inst.dim())
+            .map_err(|_| NeedsRebuild("the weight columns moved"))?;
+
+        let mut moved = Vec::new();
+        let mut appended = Vec::new();
+        for (i, row) in objects.rows().iter().enumerate() {
+            if i < n && same_bits(row, &self.attrs, inst.object(i)) {
+                continue;
+            }
+            let attrs = finite_cells(row, &self.attrs)?;
+            if i < n {
+                moved.push((i, attrs));
+            } else {
+                appended.push(attrs);
+            }
+        }
+        let mut new_queries = Vec::new();
+        for (q, row) in queries.rows().iter().enumerate() {
+            if let Some(query) = inst.queries().get(q) {
+                let same_k = matches!(row[kcol], Value::Int(k) if k == query.k as i64);
+                if !same_k || !same_bits(row, &wcols, &query.weights) {
+                    return Err(NeedsRebuild("an indexed query row changed"));
+                }
+                continue;
+            }
+            finite_cells(row, &wcols)?;
+            let query = query_row(row, &wcols, kcol)
+                .map_err(|_| NeedsRebuild("a new query row is malformed"))?;
+            if query.k >= self.index.kprime() {
+                return Err(NeedsRebuild("a new query's k reaches K'"));
+            }
+            new_queries.push(query);
+        }
+
+        // Every row passed the checks the updates repeat, so they succeed.
+        let mut stats = ReconcileStats::default();
+        let rejected = |_| NeedsRebuild("an update rejected a row");
+        let (instance, index) = (&mut self.instance, &mut self.index);
+        for (oid, attrs) in moved {
+            update::move_object(instance, index, oid, &attrs, &mut stats.update)
+                .map_err(rejected)?;
+            stats.moved_objects += 1;
+        }
+        for attrs in appended {
+            update::add_object(instance, index, attrs, &mut stats.update).map_err(rejected)?;
+            stats.added_objects += 1;
+        }
+        for query in new_queries {
+            update::add_query(instance, index, query, &mut stats.update).map_err(rejected)?;
+            stats.added_queries += 1;
+        }
+        Ok(stats)
     }
 }
 
@@ -449,6 +586,115 @@ mod tests {
                 assert_eq!(nested.to_bits(), flat.to_bits(), "score q{qi}/o{i}");
             }
         }
+    }
+
+    /// Asserts `p` equals a fresh [`Prepared::build`] over the tables:
+    /// bit-equal instance, same per-query toplists.
+    fn assert_matches_fresh_build(p: &Prepared, objs: &Table, qt: &Table) {
+        let fresh = Prepared::build(objs, qt, &iq_core::ExecPolicy::sequential()).unwrap();
+        assert_eq!(p.attrs, fresh.attrs);
+        let bits = |inst: &Instance| {
+            let objects: Vec<Vec<u64>> = inst
+                .objects()
+                .iter()
+                .map(|o| o.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let queries: Vec<(Vec<u64>, usize)> = inst
+                .queries()
+                .iter()
+                .map(|q| (q.weights.iter().map(|v| v.to_bits()).collect(), q.k))
+                .collect();
+            (objects, queries)
+        };
+        assert_eq!(bits(&p.instance), bits(&fresh.instance));
+        p.index.check_invariants(&p.instance).unwrap();
+        for q in 0..p.instance.num_queries() {
+            assert_eq!(
+                p.index.toplist_of(q),
+                fresh.index.toplist_of(q),
+                "query {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn reconcile_absorbs_moves_and_appends() {
+        let mut objs = object_table();
+        let mut qt = query_table();
+        let exec = iq_core::ExecPolicy::sequential();
+        let mut p = Prepared::build(&objs, &qt, &exec).unwrap();
+        // Move the best object to the back, another to the front, append
+        // an object and a query.
+        objs.update_cell(1, 1, Value::Float(0.95)).unwrap();
+        objs.update_cell(0, 2, Value::Int(0)).unwrap();
+        objs.insert(vec![
+            Value::Int(6),
+            Value::Float(0.25),
+            Value::Float(0.25),
+            Value::Text("obj6".into()),
+        ])
+        .unwrap();
+        qt.insert(vec![Value::Float(0.4), Value::Float(0.6), Value::Int(2)])
+            .unwrap();
+        let stats = p.reconcile(&objs, &qt).unwrap();
+        assert_eq!(
+            (
+                stats.moved_objects,
+                stats.added_objects,
+                stats.added_queries
+            ),
+            (2, 1, 1)
+        );
+        assert_matches_fresh_build(&p, &objs, &qt);
+        let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 1 MINCOST 3");
+        let opts = SearchOptions::default();
+        assert_eq!(
+            improve_with(&objs, &qt, &stmt, Some(&p), &opts).unwrap(),
+            improve_with(&objs, &qt, &stmt, None, &opts).unwrap()
+        );
+        // Nothing written since: a second pass changes nothing.
+        assert_eq!(p.reconcile(&objs, &qt).unwrap(), ReconcileStats::default());
+    }
+
+    #[test]
+    fn reconcile_refuses_what_lost_row_identity() {
+        let exec = iq_core::ExecPolicy::sequential();
+        let needs_rebuild = |objs: &Table, qt: &Table| {
+            let mut p = Prepared::build(&object_table(), &query_table(), &exec).unwrap();
+            p.reconcile(objs, qt).unwrap_err()
+        };
+        let mut fewer = object_table();
+        fewer.remove_rows(&[2]);
+        assert_eq!(
+            needs_rebuild(&fewer, &query_table()),
+            NeedsRebuild("a table lost rows")
+        );
+        let mut changed_query = query_table();
+        changed_query.update_cell(0, 2, Value::Int(2)).unwrap();
+        assert_eq!(
+            needs_rebuild(&object_table(), &changed_query),
+            NeedsRebuild("an indexed query row changed")
+        );
+        let mut big_k = query_table();
+        big_k
+            .insert(vec![Value::Float(0.5), Value::Float(0.5), Value::Int(3)])
+            .unwrap();
+        assert_eq!(
+            needs_rebuild(&object_table(), &big_k),
+            NeedsRebuild("a new query's k reaches K'")
+        );
+        let empty = |t: Table| Table::new(t.schema);
+        let mut p = Prepared::build(&empty(object_table()), &empty(query_table()), &exec).unwrap();
+        assert_eq!(
+            p.reconcile(&object_table(), &query_table()).unwrap_err(),
+            NeedsRebuild("the instance has no dimension yet")
+        );
+        let mut null_cell = object_table();
+        null_cell.update_cell(3, 1, Value::Null).unwrap();
+        assert_eq!(
+            needs_rebuild(&null_cell, &query_table()),
+            NeedsRebuild("a cell is not a finite number")
+        );
     }
 
     #[test]

@@ -13,23 +13,37 @@
 //!   session to prove the concurrent history equivalent. Without one the
 //!   engine keeps no history: nothing at runtime reads it.
 //!
-//! Cache discipline: a write that INSERTs into a cached pair's query or
-//! object table goes through the *incremental* update path
-//! (`iq_core::update::{add_query, add_object}`); the query R-tree takes
-//! the insert into its pending run and re-packs itself under its own
-//! compaction rule. Any other shape of write (UPDATE/DELETE/DROP/CREATE/
-//! COPY on a cached table, or an INSERT the incremental path cannot
-//! absorb, e.g. `k ≥ K'`) drops the cache entry instead; correctness never
-//! depends on the incremental path applying.
+//! Cache discipline: writes never touch a cached [`Prepared`]. Every
+//! write — a failed one too, since it may have changed rows before its
+//! error — stamps the table it wrote with the next value of an
+//! engine-wide counter; a cache entry records the stamps of its object and
+//! query tables at which it was last current. An IMPROVE whose entry's
+//! stamps match searches it under the shared lock. On a mismatch it takes
+//! the exclusive lock and reconciles the entry in place
+//! ([`Prepared::reconcile`]: moved and appended objects are spliced into
+//! the toplists they reach, appended queries added), or rebuilds it where
+//! the tables lost their row identity (DELETE, a changed query row, a new
+//! `k ≥ K'`). It then searches under the shared lock again only if the
+//! stamps still match, since a writer may slip in between the two locks.
+//! IMPROVE … APPLY reconciles under its own exclusive lock before it
+//! searches. So a burst of writes is absorbed once, by the next IMPROVE,
+//! and a workload that never asks one pays nothing for its writes.
 //!
-//! Determinism: a cached index and a freshly built one answer IMPROVE
-//! byte-identically (same toplists ⇒ same subdomains ⇒ same candidate
-//! list — the repo-wide invariant), so caching shapes latency only.
+//! Backlog bound: an entry counts the rows written to its two tables since
+//! it was last current. A write that pushes the count past the number of
+//! queries the entry indexes drops the entry: replaying that backlog would
+//! cost about as many full top-`K'` scans as a rebuild, and an entry that
+//! long unread is holding memory for nothing.
+//!
+//! Determinism: a reconciled entry, a cached one and a freshly built one
+//! answer IMPROVE byte-identically (bit-equal instance, same toplists ⇒
+//! same thresholds ⇒ same candidate list — the repo-wide invariant), so
+//! caching shapes latency only. With `--features debug-invariants` every
+//! cached search first checks its entry against a fresh extraction.
 
 use crate::metrics::Metrics;
 use crate::protocol;
-use iq_core::update::{self, UpdateStats};
-use iq_core::{ExecPolicy, SearchOptions, TopKQuery};
+use iq_core::{ExecPolicy, SearchOptions};
 use iq_dbms::iqext::{self, Prepared};
 use iq_dbms::parser::{is_read_only, ImproveStmt, Statement};
 use iq_dbms::{parse, DbError, Outcome, QueryResult, Session, Value};
@@ -47,11 +61,86 @@ type CacheKey = (String, String);
 /// statement's allocation modest.
 const SNAPSHOT_ROWS_PER_INSERT: usize = 128;
 
+/// How many times an IMPROVE refreshes its entry before it gives up on
+/// the cache, when writers keep slipping in between its two locks.
+const REFRESH_ATTEMPTS: usize = 2;
+
+/// A cached prepared index and the table versions it answers for.
+struct Entry {
+    prepared: Prepared,
+    /// Stamps of the `(object, query)` tables when last current.
+    stamps: (u64, u64),
+    /// Rows written to either table since then.
+    backlog: usize,
+}
+
 struct EngineState {
     session: Session,
-    cache: HashMap<CacheKey, Prepared>,
+    cache: HashMap<CacheKey, Entry>,
+    /// Per lowercased table name: the value of `writes` at the table's
+    /// last write. A table with no write through this engine (recovered,
+    /// or dropped) reads 0.
+    stamps: HashMap<String, u64>,
+    /// Writes executed so far, failed ones included (they may have changed
+    /// rows before their error); the source of every stamp.
+    writes: u64,
     /// Durable storage, when the engine was opened with a data dir.
     storage: Option<Storage>,
+}
+
+impl EngineState {
+    fn new(session: Session, storage: Option<Storage>) -> Self {
+        EngineState {
+            session,
+            cache: HashMap::new(),
+            stamps: HashMap::new(),
+            writes: 0,
+            storage,
+        }
+    }
+
+    /// The current stamps of a cache key's two tables.
+    fn stamps_of(&self, key: &CacheKey) -> (u64, u64) {
+        let stamp = |t: &String| self.stamps.get(t).copied().unwrap_or(0);
+        (stamp(&key.0), stamp(&key.1))
+    }
+
+    /// The entry for `key`, if no write reached its tables since it was
+    /// last current.
+    fn current(&self, key: &CacheKey) -> Option<&Prepared> {
+        self.cache
+            .get(key)
+            .filter(|e| e.stamps == self.stamps_of(key))
+            .map(|e| &e.prepared)
+    }
+
+    /// Records a write of `rows` rows to `table`: stamps the
+    /// table and ages every entry indexing it, dropping those whose
+    /// backlog passes the number of queries they index. A table the write
+    /// dropped loses its stamp, so the map holds live tables only; the
+    /// next CREATE of the name stamps it afresh.
+    fn note_write(&mut self, table: &str, rows: usize, metrics: &Metrics) {
+        let table = table.to_ascii_lowercase();
+        self.writes += 1;
+        if self.session.table(&table).is_some() {
+            self.stamps.insert(table.clone(), self.writes);
+        } else {
+            self.stamps.remove(&table);
+        }
+        let before = self.cache.len();
+        self.cache.retain(|(o, q), e| {
+            if *o == table || *q == table {
+                e.backlog += rows;
+            }
+            e.backlog <= e.prepared.instance.num_queries()
+        });
+        let evicted = (before - self.cache.len()) as u64;
+        if evicted > 0 {
+            metrics
+                .cache_invalidations
+                .fetch_add(evicted, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Configuration for [`Engine::with_storage`].
@@ -77,11 +166,7 @@ impl Engine {
     /// An empty engine whose IMPROVE searches use `exec` threads each.
     pub fn new(metrics: Arc<Metrics>, exec: ExecPolicy) -> Self {
         Engine {
-            state: RwLock::new(EngineState {
-                session: Session::new(),
-                cache: HashMap::new(),
-                storage: None,
-            }),
+            state: RwLock::new(EngineState::new(Session::new(), None)),
             metrics,
             opts: SearchOptions {
                 exec,
@@ -130,11 +215,7 @@ impl Engine {
             .recovery_truncated_bytes
             .store(recovery.truncated_bytes, Ordering::Relaxed);
         let engine = Engine {
-            state: RwLock::new(EngineState {
-                session,
-                cache: HashMap::new(),
-                storage: Some(storage),
-            }),
+            state: RwLock::new(EngineState::new(session, Some(storage))),
             metrics,
             opts: SearchOptions {
                 exec,
@@ -248,12 +329,39 @@ impl Engine {
         out
     }
 
-    /// Read-only IMPROVE: ensure a prepared index exists (write lock only
-    /// on a cache miss), then search under the shared lock.
+    /// Read-only IMPROVE: search the table pair's entry under the shared
+    /// lock if it is current; otherwise refresh it under the exclusive
+    /// lock and look again. Should writers keep slipping in between, the
+    /// last look searches without the cache.
     fn improve_read(&self, imp: &ImproveStmt) -> Result<Outcome, DbError> {
         let key = cache_key(imp);
-        self.ensure_prepared(imp, &key);
-        let st = self.state.read().unwrap();
+        let mut refreshes = 0;
+        let mut gave_up = false;
+        loop {
+            let st = self.state.read().unwrap();
+            let cached = st.current(&key);
+            if cached.is_some() || gave_up {
+                if cached.is_some() && refreshes == 0 {
+                    self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                return self.search(&st, imp, cached).map(|(r, _)| Outcome::Rows(r));
+            }
+            drop(st);
+            refreshes += 1;
+            let prepared = self.refresh(&mut self.state.write().unwrap(), imp, &key);
+            gave_up = !prepared || refreshes == REFRESH_ATTEMPTS;
+        }
+    }
+
+    /// Runs an IMPROVE's search against the current tables, on `prepared`
+    /// or, with `None`, on a fresh extraction. Under `debug-invariants` a
+    /// cached entry is first checked against the tables.
+    fn search(
+        &self,
+        st: &EngineState,
+        imp: &ImproveStmt,
+        prepared: Option<&Prepared>,
+    ) -> Result<(QueryResult, iqext::TargetDeltas), DbError> {
         let objects = st
             .session
             .table(&imp.table)
@@ -262,38 +370,67 @@ impl Engine {
             .session
             .table(&imp.query_table)
             .ok_or_else(|| DbError::UnknownTable(imp.query_table.clone()))?;
-        let prepared = st.cache.get(&key);
-        let (result, _deltas) = iqext::improve_with(objects, queries, imp, prepared, &self.opts)?;
-        Ok(Outcome::Rows(result))
+        #[cfg(feature = "debug-invariants")]
+        if let Some(p) = prepared {
+            assert!(
+                st.current(&cache_key(imp))
+                    .is_some_and(|c| std::ptr::eq(c, p)),
+                "debug-invariants: searching an entry whose stamps are stale"
+            );
+            assert_entry_is_current(p, objects, queries);
+        }
+        iqext::improve_with(objects, queries, imp, prepared, &self.opts)
     }
 
-    /// Builds and caches the prepared index for an IMPROVE's table pair if
-    /// it is missing. Build failures are not cached — the subsequent
-    /// uncached execution reports the error with full context.
-    fn ensure_prepared(&self, imp: &ImproveStmt, key: &CacheKey) {
-        {
-            let st = self.state.read().unwrap();
-            if st.cache.contains_key(key) {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut st = self.state.write().unwrap();
-        if st.cache.contains_key(key) {
-            // Raced with another builder; theirs is as good as ours.
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+    /// Makes the entry for `key` current under the exclusive lock:
+    /// reconcile it in place, or build it when it is missing or the
+    /// reconcile needs a rebuild. Returns false, leaving no entry, when a
+    /// table is missing or cannot be extracted; the uncached search then
+    /// reports the error with full context.
+    fn refresh(&self, st: &mut EngineState, imp: &ImproveStmt, key: &CacheKey) -> bool {
+        let stamps = st.stamps_of(key);
         let (Some(objects), Some(queries)) = (
             st.session.table(&imp.table),
             st.session.table(&imp.query_table),
         ) else {
-            return;
+            if st.cache.remove(key).is_some() {
+                self.metrics
+                    .cache_invalidations
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            return false;
         };
-        if let Ok(prepared) = Prepared::build(objects, queries, &self.opts.exec) {
-            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            st.cache.insert(key.clone(), prepared);
+        if let Some(entry) = st.cache.get_mut(key) {
+            if entry.stamps == stamps {
+                // Another request refreshed it first.
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+            if entry.prepared.reconcile(objects, queries).is_ok() {
+                entry.stamps = stamps;
+                entry.backlog = 0;
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .cache_reconciles
+                    .fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+            st.cache.remove(key);
+            self.metrics
+                .cache_invalidations
+                .fetch_add(1, Ordering::Relaxed);
         }
+        let Ok(prepared) = Prepared::build(objects, queries, &self.opts.exec) else {
+            return false;
+        };
+        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry {
+            prepared,
+            stamps,
+            backlog: 0,
+        };
+        st.cache.insert(key.clone(), entry);
+        true
     }
 
     /// A write: exclusive lock, execute, maintain the cache, commit.
@@ -317,40 +454,46 @@ impl Engine {
             });
         }
 
-        // IMPROVE … APPLY reuses the cache for the search, then applies
-        // deltas and invalidates entries that index the mutated table.
+        // IMPROVE … APPLY searches the refreshed entry, then writes the
+        // deltas back; the next IMPROVE reconciles the moved targets.
         if let Statement::Improve(imp) = &stmt {
             let key = cache_key(imp);
+            self.refresh(st, imp, &key);
+            let (result, deltas) = self.search(st, imp, st.current(&key))?;
             let objects = st
                 .session
-                .table(&imp.table)
+                .table_mut(&imp.table)
                 .ok_or_else(|| DbError::UnknownTable(imp.table.clone()))?;
-            let queries = st
-                .session
-                .table(&imp.query_table)
-                .ok_or_else(|| DbError::UnknownTable(imp.query_table.clone()))?;
-            let (result, deltas) =
-                iqext::improve_with(objects, queries, imp, st.cache.get(&key), &self.opts)?;
-            let objects_mut = st.session.table_mut(&imp.table).expect("checked above");
-            iqext::apply_deltas(objects_mut, &deltas)?;
-            invalidate_touching(&mut st.cache, &self.metrics, &imp.table);
+            // Stamp even a failed write-back: it may have changed rows.
+            let applied = iqext::apply_deltas(objects, &deltas);
+            st.note_write(&imp.table, deltas.len(), &self.metrics);
+            applied?;
             self.commit(st, sql)?;
             return Ok(Outcome::Rows(result));
         }
 
         let touched = written_table(&stmt);
-        let insert_rows = match &stmt {
-            Statement::Insert { rows, .. } => Some(rows.clone()),
-            _ => None,
+        // A DROP writes away every row of its table.
+        let dropped = match &stmt {
+            Statement::Drop { name } => st.session.table(name).map_or(0, |t| t.len()),
+            _ => 0,
         };
-        let outcome = st.session.execute_parsed(stmt)?;
-
+        let outcome = st.session.execute_parsed(stmt);
         if let Some(table) = touched {
-            match insert_rows {
-                Some(rows) => self.absorb_insert(st, &table, &rows),
-                None => invalidate_touching(&mut st.cache, &self.metrics, &table),
-            }
+            // Stamp even a failed write: a multi-row INSERT or UPDATE may
+            // have changed rows before its error.
+            let rows = match &outcome {
+                Ok(
+                    Outcome::Inserted(n)
+                    | Outcome::Copied(n)
+                    | Outcome::Updated(n)
+                    | Outcome::Deleted(n),
+                ) => *n,
+                _ => dropped,
+            };
+            st.note_write(&table, rows, &self.metrics);
         }
+        let outcome = outcome?;
         self.commit(st, sql)?;
         Ok(outcome)
     }
@@ -391,38 +534,6 @@ impl Engine {
         self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(info)
     }
-
-    /// Feeds freshly inserted rows through the incremental update path for
-    /// every cache entry indexing `table`; entries the path cannot absorb
-    /// are dropped instead.
-    fn absorb_insert(&self, st: &mut EngineState, table: &str, rows: &[Vec<Value>]) {
-        let table_lc = table.to_ascii_lowercase();
-        let keys: Vec<CacheKey> = st
-            .cache
-            .keys()
-            .filter(|(o, q)| *o == table_lc || *q == table_lc)
-            .cloned()
-            .collect();
-        for key in keys {
-            let mut prepared = st.cache.remove(&key).unwrap();
-            let as_queries = key.1 == table_lc;
-            let absorbed = if as_queries {
-                let Some(qt) = st.session.table(&key.1) else {
-                    continue;
-                };
-                absorb_query_rows(&mut prepared, qt, rows)
-            } else {
-                absorb_object_rows(&mut prepared, rows)
-            };
-            if absorbed {
-                st.cache.insert(key, prepared);
-            } else {
-                self.metrics
-                    .cache_invalidations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 /// Maps a storage-layer error into the DBMS error space (wire kind
@@ -451,88 +562,29 @@ fn written_table(stmt: &Statement) -> Option<String> {
     }
 }
 
-/// Drops every cache entry whose object or query table is `table`.
-fn invalidate_touching(cache: &mut HashMap<CacheKey, Prepared>, metrics: &Metrics, table: &str) {
-    let table_lc = table.to_ascii_lowercase();
-    let before = cache.len();
-    cache.retain(|(o, q), _| *o != table_lc && *q != table_lc);
-    let dropped = (before - cache.len()) as u64;
-    if dropped > 0 {
-        metrics
-            .cache_invalidations
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
-}
-
-/// Incrementally adds inserted query rows to a prepared index. Returns
-/// false (entry must be invalidated) if any row cannot be absorbed — bad
-/// shape, non-positive k, or `k ≥ K'` (the index cannot widen toplists).
-fn absorb_query_rows(prepared: &mut Prepared, qt: &iq_dbms::Table, rows: &[Vec<Value>]) -> bool {
-    let d = prepared.instance.dim();
-    let mut wcols = Vec::with_capacity(d);
-    for j in 0..d {
-        match qt.schema.index_of(&format!("w{}", j + 1)) {
-            Some(idx) => wcols.push(idx),
-            None => return false,
-        }
-    }
-    let Some(kcol) = qt.schema.index_of("k") else {
-        return false;
-    };
-    let mut stats = UpdateStats::default();
-    for row in rows {
-        let mut weights = Vec::with_capacity(d);
-        for &c in &wcols {
-            match row.get(c).and_then(Value::as_f64) {
-                Some(w) => weights.push(w),
-                None => return false,
-            }
-        }
-        let k = match row.get(kcol) {
-            Some(Value::Int(k)) if *k >= 1 => *k as usize,
-            _ => return false,
-        };
-        if k >= prepared.index.kprime() {
-            return false;
-        }
-        if update::add_query(
-            &mut prepared.instance,
-            &mut prepared.index,
-            TopKQuery::new(weights, k),
-            &mut stats,
-        )
-        .is_err()
-        {
-            return false;
-        }
-    }
-    true
-}
-
-/// Incrementally adds inserted object rows to a prepared index. The
-/// attribute layout must match the prepared extraction exactly.
-fn absorb_object_rows(prepared: &mut Prepared, rows: &[Vec<Value>]) -> bool {
-    let mut stats = UpdateStats::default();
-    for row in rows {
-        let mut attrs = Vec::with_capacity(prepared.attrs.len());
-        for &c in &prepared.attrs {
-            match row.get(c).and_then(Value::as_f64) {
-                Some(v) => attrs.push(v),
-                None => return false,
-            }
-        }
-        if update::add_object(
-            &mut prepared.instance,
-            &mut prepared.index,
-            attrs,
-            &mut stats,
-        )
-        .is_err()
-        {
-            return false;
-        }
-    }
-    true
+/// `debug-invariants`: a cached entry about to be searched must be what a
+/// fresh extraction of the tables gives, bit for bit, with an exact index.
+#[cfg(feature = "debug-invariants")]
+fn assert_entry_is_current(p: &Prepared, objects: &iq_dbms::Table, queries: &iq_dbms::Table) {
+    let (fresh, attrs) = iqext::build_instance(objects, queries)
+        .expect("debug-invariants: a cached entry's tables no longer extract");
+    assert_eq!(attrs, p.attrs, "debug-invariants: stale attribute columns");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let same_objects = fresh.num_objects() == p.instance.num_objects()
+        && (0..fresh.num_objects()).all(|i| bits(fresh.object(i)) == bits(p.instance.object(i)));
+    let same_queries = fresh.num_queries() == p.instance.num_queries()
+        && fresh
+            .queries()
+            .iter()
+            .zip(p.instance.queries())
+            .all(|(a, b)| a.k == b.k && bits(&a.weights) == bits(&b.weights));
+    assert!(
+        same_objects && same_queries,
+        "debug-invariants: cached instance differs from a fresh extraction"
+    );
+    p.index
+        .check_invariants(&p.instance)
+        .expect("debug-invariants: cached index is not exact");
 }
 
 #[cfg(test)]
@@ -559,6 +611,19 @@ mod tests {
 
     const IMPROVE: &str = "IMPROVE objects USING queries WHERE id = 0 MINCOST 3";
 
+    /// A fresh engine (no cache yet) after the seed plus `writes`.
+    fn replay(writes: &[&str]) -> Engine {
+        let e = engine();
+        for sql in writes {
+            e.execute_sql(sql).unwrap();
+        }
+        e
+    }
+
+    fn count(e: &Engine, metric: fn(&Metrics) -> &std::sync::atomic::AtomicU64) -> u64 {
+        metric(e.metrics()).load(Ordering::Relaxed)
+    }
+
     #[test]
     fn cached_improve_is_byte_identical_to_fresh() {
         // One target, and a broad predicate whose three targets run the
@@ -581,6 +646,15 @@ mod tests {
             }
             let fresh = outcome_json(&s.execute(improve).unwrap());
             assert_eq!(first, fresh);
+
+            // Object 1 heads most lists; this UPDATE moves it behind every
+            // other object, so each list it was in refills.
+            let update = "UPDATE objects SET a1 = 0.99, a2 = 0.99 WHERE id = 1";
+            e.execute_sql(update).unwrap();
+            let reconciled = e.execute_line(improve);
+            assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 1);
+            assert_eq!(e.metrics().cache_reconciles.load(Ordering::Relaxed), 1);
+            assert_eq!(reconciled, replay(&[update]).execute_line(improve));
         }
     }
 
@@ -608,29 +682,48 @@ mod tests {
     }
 
     #[test]
-    fn object_insert_absorbs_and_update_invalidates() {
+    fn object_writes_reconcile_in_place() {
         let e = engine();
         let writes = [
             "INSERT INTO objects VALUES (5, 0.1, 0.1)",
             "UPDATE objects SET a1 = 0.95 WHERE id = 5",
+            "IMPROVE objects USING queries WHERE id = 4 MINCOST 2 APPLY",
         ];
         e.execute_sql(IMPROVE).unwrap();
-        e.execute_sql(writes[0]).unwrap();
-        assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 0);
-        let cached = e.execute_line(IMPROVE);
-        // UPDATE cannot be absorbed: the entry is dropped, then rebuilt.
-        e.execute_sql(writes[1]).unwrap();
-        assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 1);
-        let rebuilt = e.execute_line(IMPROVE);
-        assert_eq!(e.metrics().cache_misses.load(Ordering::Relaxed), 2);
-        // Different data ⇒ possibly different answer; both must equal a
-        // from-scratch replay at their point in history.
-        let replay = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
-        for sql in SEED.into_iter().chain(writes) {
-            replay.execute_sql(sql).unwrap();
+        for (i, sql) in writes.into_iter().enumerate() {
+            let answer = e.execute_line(sql);
+            assert!(answer.contains("\"ok\":true"), "{answer}");
+            // The written rows wait in the tables until the next IMPROVE.
+            let cached = e.execute_line(IMPROVE);
+            assert_eq!(
+                cached,
+                replay(&writes[..=i]).execute_line(IMPROVE),
+                "after `{sql}`"
+            );
         }
-        assert_eq!(rebuilt, replay.execute_line(IMPROVE));
-        drop(cached);
+        assert_eq!(count(&e, |m| &m.cache_misses), 1);
+        assert_eq!(count(&e, |m| &m.cache_reconciles), 3);
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 0);
+        // APPLY searched the reconciled entry: its answer matches a fresh
+        // engine's too.
+        assert_eq!(
+            e.execute_line(writes[2]),
+            replay(&writes).execute_line(writes[2])
+        );
+    }
+
+    #[test]
+    fn failed_write_that_changed_rows_is_reconciled() {
+        let e = engine();
+        let before = e.execute_line(IMPROVE);
+        // The first row lands before the second fails its type check.
+        let partial = "INSERT INTO objects VALUES (5, 0.05, 0.05), (6, 'x', 0.1)";
+        assert!(e.execute_sql(partial).is_err());
+        let after = e.execute_line(IMPROVE);
+        assert_ne!(after, before, "the landed row must change the answer");
+        let fresh = engine();
+        assert!(fresh.execute_sql(partial).is_err());
+        assert_eq!(after, fresh.execute_line(IMPROVE));
     }
 
     #[test]
@@ -638,11 +731,82 @@ mod tests {
         let e = engine();
         e.execute_sql(IMPROVE).unwrap();
         // K' is derived from max k in the workload; k = 40 is far beyond.
-        e.execute_sql("INSERT INTO queries VALUES (0.2, 0.8, 40)")
-            .unwrap();
-        assert_eq!(e.metrics().cache_invalidations.load(Ordering::Relaxed), 1);
-        // Still answers correctly (rebuilds), no panic.
+        let insert = "INSERT INTO queries VALUES (0.2, 0.8, 40)";
+        e.execute_sql(insert).unwrap();
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 0);
+        // The reconcile refuses the row; the entry is rebuilt, no panic.
         let rebuilt = e.execute_line(IMPROVE);
+        assert!(rebuilt.contains("\"ok\":true"), "{rebuilt}");
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 1);
+        assert_eq!(count(&e, |m| &m.cache_misses), 2);
+        assert_eq!(rebuilt, replay(&[insert]).execute_line(IMPROVE));
+    }
+
+    #[test]
+    fn delete_forces_a_rebuild() {
+        let e = engine();
+        e.execute_sql(IMPROVE).unwrap();
+        let delete = "DELETE FROM objects WHERE id = 2";
+        e.execute_sql(delete).unwrap();
+        let rebuilt = e.execute_line(IMPROVE);
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 1);
+        assert_eq!(count(&e, |m| &m.cache_misses), 2);
+        assert_eq!(rebuilt, replay(&[delete]).execute_line(IMPROVE));
+    }
+
+    #[test]
+    fn drop_and_create_are_seen_by_the_diff() {
+        // Enough queries that rewriting the object table stays inside the
+        // backlog bound.
+        let more_queries = "INSERT INTO queries VALUES (0.2, 0.8, 1), (0.8, 0.2, 2), \
+                            (0.45, 0.55, 1), (0.35, 0.65, 2), (0.65, 0.35, 1), (0.15, 0.85, 2)";
+        let e = replay(&[more_queries]);
+        e.execute_sql(IMPROVE).unwrap();
+        let recreate = |rows: &str| {
+            e.execute_sql("DROP TABLE objects").unwrap();
+            e.execute_sql(SEED[0]).unwrap();
+            e.execute_sql(&format!("INSERT INTO objects VALUES {rows}"))
+                .unwrap();
+        };
+        // The same rows again: the entry is still exact and is kept.
+        recreate("(0, 0.9, 0.8), (1, 0.2, 0.3), (2, 0.5, 0.5), (3, 0.7, 0.2), (4, 0.3, 0.9)");
+        let same = e.execute_line(IMPROVE);
+        assert_eq!(same, replay(&[more_queries]).execute_line(IMPROVE));
+        assert_eq!(count(&e, |m| &m.cache_misses), 1);
+        // Different rows: the diff moves them.
+        let rows = "(0, 0.9, 0.8), (1, 0.6, 0.3), (2, 0.1, 0.5), (3, 0.7, 0.2), (4, 0.3, 0.9)";
+        recreate(rows);
+        let moved = e.execute_line(IMPROVE);
+        assert_eq!(count(&e, |m| &m.cache_misses), 1);
+        let fresh = replay(&[
+            more_queries,
+            "DROP TABLE objects",
+            SEED[0],
+            &format!("INSERT INTO objects VALUES {rows}"),
+        ]);
+        assert_eq!(moved, fresh.execute_line(IMPROVE));
+        // Dropping the query table leaves IMPROVE an unknown table.
+        e.execute_sql("DROP TABLE queries").unwrap();
+        assert!(e.execute_line(IMPROVE).contains("\"ok\":false"));
+    }
+
+    #[test]
+    fn write_backlog_past_the_query_count_drops_the_entry() {
+        let e = engine();
+        e.execute_sql(IMPROVE).unwrap();
+        // Six queries indexed: six rows written keep the entry…
+        for i in 0..6 {
+            e.execute_sql(&format!("UPDATE objects SET a1 = 0.{i}5 WHERE id = 4"))
+                .unwrap();
+        }
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 0);
+        // …the seventh passes the bound.
+        e.execute_sql("UPDATE objects SET a2 = 0.15 WHERE id = 4")
+            .unwrap();
+        assert_eq!(count(&e, |m| &m.cache_invalidations), 1);
+        let rebuilt = e.execute_line(IMPROVE);
+        assert_eq!(count(&e, |m| &m.cache_misses), 2);
+        assert_eq!(count(&e, |m| &m.cache_reconciles), 0);
         assert!(rebuilt.contains("\"ok\":true"), "{rebuilt}");
     }
 

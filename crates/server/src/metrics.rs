@@ -188,11 +188,15 @@ pub struct Metrics {
     pub queue_high_water: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
-    /// IMPROVE cache hits (prepared index reused).
+    /// IMPROVE cache hits (prepared index reused, reconciled or not).
     pub cache_hits: AtomicU64,
     /// IMPROVE cache misses (index built).
     pub cache_misses: AtomicU64,
-    /// Cache entries dropped because a write touched their tables.
+    /// Cache hits that first reconciled the entry with writes to its
+    /// tables.
+    pub cache_reconciles: AtomicU64,
+    /// Cache entries dropped: a reconcile needed a rebuild, a table was
+    /// gone, or the write backlog passed the entry's query count.
     pub cache_invalidations: AtomicU64,
     /// WAL records appended (durable commit path; 0 without `--data-dir`).
     pub wal_appends: AtomicU64,
@@ -287,6 +291,10 @@ impl Metrics {
         push(
             "cache_misses".into(),
             self.cache_misses.load(Ordering::Relaxed),
+        );
+        push(
+            "cache_reconciles".into(),
+            self.cache_reconciles.load(Ordering::Relaxed),
         );
         push(
             "cache_invalidations".into(),

@@ -221,6 +221,114 @@ fn interleaved_writes_serialize_to_the_wal_order() {
     );
 }
 
+/// The cache reconciles writes at the next IMPROVE instead of rebuilding:
+/// a caching engine fed a mixed stream (UPDATEs and query INSERTs among
+/// the reads) must answer every statement exactly as a fresh session that
+/// has no cache at all.
+#[test]
+fn reconciled_cache_answers_like_a_fresh_session_at_every_step() {
+    let instance = standard_instance(
+        Distribution::Independent,
+        QueryDistribution::Uniform,
+        40,
+        20,
+        2,
+        3,
+        23,
+    );
+    let engine = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
+    let mut session = iq_dbms::Session::new();
+    for sql in seed_statements(&instance, "objects", "queries", 16) {
+        engine.execute_sql(&sql).unwrap();
+        session.execute(&sql).unwrap();
+    }
+    let mut stream = SqlStream::new(
+        &instance,
+        "objects",
+        "queries",
+        StatementMix::default(),
+        3,
+        29,
+    );
+    let mut improves = 0;
+    for step in 0..400 {
+        let sql = stream.next_statement();
+        let expected = match session.execute(&sql) {
+            Ok(outcome) => iq_dbms::outcome_json(&outcome),
+            Err(e) => iq_dbms::error_json(&e),
+        };
+        assert_eq!(engine.execute_line(&sql), expected, "step {step}: `{sql}`");
+        improves += sql.starts_with("IMPROVE") as usize;
+    }
+    let stat = |name: &str| {
+        let stats = protocol::parse_stats(&engine.execute_line("SHOW STATS")).unwrap();
+        stats.into_iter().find(|(n, _)| n == name).unwrap().1
+    };
+    assert!(improves > 100, "{improves} IMPROVEs");
+    assert_eq!(stat("cache_misses"), 1, "the entry was rebuilt");
+    assert!(stat("cache_reconciles") > 10);
+}
+
+/// Writers and readers race on one engine. Every IMPROVE must search an
+/// entry that is current when it searches (checked inside the engine
+/// under `--features debug-invariants`), and after the race the cached
+/// answer equals a fresh replay of the committed history.
+#[test]
+fn racing_writers_never_leave_a_reader_on_a_stale_entry() {
+    let tmp = TempDir::new("racing");
+    let (engine, _) = open_durable(&tmp.0, ExecPolicy::sequential(), None);
+    let engine = Arc::new(engine);
+    let instance = standard_instance(
+        Distribution::Independent,
+        QueryDistribution::Uniform,
+        60,
+        30,
+        2,
+        3,
+        31,
+    );
+    for sql in seed_statements(&instance, "objects", "queries", 16) {
+        engine.execute_sql(&sql).unwrap();
+    }
+    const IMPROVE: &str = "IMPROVE objects USING queries WHERE id = 5 MINCOST 4";
+    let writes = StatementMix {
+        select: 0,
+        improve: 0,
+        insert_query: 1,
+        update_object: 3,
+    };
+    let threads: Vec<_> = (0..6)
+        .map(|t| {
+            let engine = Arc::clone(&engine);
+            let mut stream = SqlStream::new(&instance, "objects", "queries", writes, 3, t);
+            std::thread::spawn(move || {
+                for _ in 0..150 {
+                    let sql = if t % 2 == 0 {
+                        stream.next_statement()
+                    } else {
+                        IMPROVE.to_string()
+                    };
+                    let r = engine.execute_line(&sql);
+                    assert!(protocol::is_ok(&r), "`{sql}`: {r}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let cached = engine.execute_line(IMPROVE);
+    let live = engine.dump_tables();
+    drop(engine);
+    let (reopened, recovery) = open_durable(&tmp.0, ExecPolicy::sequential(), None);
+    let replay = Engine::new(Arc::new(Metrics::new()), ExecPolicy::sequential());
+    for sql in &recovery.statements {
+        replay.execute_sql(sql).unwrap();
+    }
+    assert_eq!(reopened.dump_tables(), live);
+    assert_eq!(cached, replay.execute_line(IMPROVE));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -1,6 +1,7 @@
 //! Data updating (§4.3): keep the subdomain index live while queries and
-//! objects come and go, instead of rebuilding it — with the kNN candidate
-//! fast path for new queries and the bloom-filter short circuit for object
+//! objects come, go and change, instead of rebuilding it — with the kNN
+//! candidate fast path for new queries, in-place toplist splices for new
+//! and moved objects, and the bloom-filter short circuit for object
 //! removals.
 //!
 //! Run with `cargo run --release --example incremental_updates`.
@@ -9,7 +10,7 @@
 // (clippy.toml disallowed-methods; see iq-lint wallclock-in-core).
 #![allow(clippy::disallowed_methods)]
 use improvement_queries::core::update::{
-    add_object, add_query, remove_last_object, remove_query, UpdateStats,
+    add_object, add_query, move_object, remove_last_object, remove_query, UpdateStats,
 };
 use improvement_queries::prelude::*;
 use rand::rngs::StdRng;
@@ -67,6 +68,11 @@ fn main() {
             _ => {
                 let attrs: Vec<f64> = (0..3).map(|_| rng.gen()).collect();
                 add_object(&mut instance, &mut index, attrs, &mut stats).expect("add object");
+                // A listing changes its attributes and keeps its id.
+                let listing = rng.gen_range(0..instance.num_objects());
+                let attrs: Vec<f64> = (0..3).map(|_| rng.gen()).collect();
+                move_object(&mut instance, &mut index, listing, &attrs, &mut stats)
+                    .expect("move object");
                 if i % 8 == 7 {
                     remove_last_object(&mut instance, &mut index, &mut stats);
                 }
@@ -76,8 +82,8 @@ fn main() {
     let incremental = t0.elapsed().as_secs_f64() * 1000.0;
     println!(
         "200 mixed updates in {:.1} ms — kNN fast-assigned {} new queries, \
-         recomputed {} candidate lists",
-        incremental, stats.fast_assignments, stats.toplists_recomputed
+         spliced {} and recomputed {} candidate lists",
+        incremental, stats.fast_assignments, stats.toplists_spliced, stats.toplists_recomputed
     );
 
     // The live index answers IQs exactly like a fresh rebuild would.
