@@ -1,15 +1,17 @@
 //! Ablation: the value of each layer of Efficient Strategy Evaluation.
 //!
 //! Compares, on identical instances and strategies:
-//! * `ese_fast` — per-threshold-object grouped slab retrieval (the shipped
-//!   path);
+//! * `ese_fast` — per-threshold-object groups, each pruned by its bounding
+//!   box and then filtered by its slab (the shipped path);
 //! * `ese_pairwise` — the literal Algorithm 2 loop over every object's
 //!   affected subspace;
 //! * `thresholded_scan` — per-query threshold comparison with no spatial
 //!   pruning (still index-assisted: the thresholds come from the
 //!   subdomain index);
 //! * `no_index` — honest from-scratch evaluation: apply the strategy and
-//!   recompute every query's top-k over the whole dataset.
+//!   recompute every query's top-k over the whole dataset;
+//! * `kernel_scan` — one batched-kernel pass scoring the improved target
+//!   against every query's weight row.
 //!
 //! This is the design-choice evidence behind DESIGN.md §3: each layer of
 //! the index buys an order of magnitude, and the grouped fast path is the
@@ -56,34 +58,16 @@ fn bench(c: &mut Criterion) {
                 improved.hit_count_naive(0)
             })
         });
-        // The scoring-kernel ablation behind DESIGN.md §9: one full pass
-        // scoring the improved target against every query weight vector,
-        // through the nested Vec<Vec<f64>> rows vs the flat SoA kernel.
+        // The full pass the kernel makes (DESIGN.md §9): the improved
+        // target scored against every query's weight row.
         let p_new = &Vector::from(inst.object(0)) + &s;
-        group.bench_with_input(
-            BenchmarkId::new("flat_vs_nested", format!("{label}/nested")),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for q in inst.queries() {
-                        acc += iq_geometry::vector::dot(&q.weights, p_new.as_slice());
-                    }
-                    std::hint::black_box(acc)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("flat_vs_nested", format!("{label}/flat")),
-            &(),
-            |b, _| {
-                let mut buf = Vec::new();
-                b.iter(|| {
-                    inst.weights_flat().scores_into(p_new.as_slice(), &mut buf);
-                    std::hint::black_box(buf.iter().sum::<f64>())
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("kernel_scan", &label), &(), |b, _| {
+            let mut buf = Vec::new();
+            b.iter(|| {
+                inst.weights_flat().scores_into(p_new.as_slice(), &mut buf);
+                std::hint::black_box(buf.iter().sum::<f64>())
+            })
+        });
     }
     group.finish();
 }

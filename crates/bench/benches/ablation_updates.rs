@@ -30,7 +30,7 @@ fn bench_updates(c: &mut Criterion) {
                 b.iter_batched(
                     || (inst.clone(), index.clone()),
                     |(mut inst, mut index)| {
-                        let w = inst.queries()[0].weights.clone();
+                        let w = inst.weights(0).to_vec();
                         let mut stats = UpdateStats::default();
                         add_query(&mut inst, &mut index, TopKQuery::new(w, 3), &mut stats).unwrap();
                         (inst, index)
@@ -44,8 +44,8 @@ fn bench_updates(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     let mut i = inst.clone();
-                    let w = i.queries()[0].weights.clone();
-                    i.push_query(TopKQuery::new(w, 3)).unwrap();
+                    let w = i.weights(0).to_vec();
+                    i.push_query(&w, 3).unwrap();
                     i
                 },
                 |inst| QueryIndex::build(&inst),

@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
             |b, inst| b.iter(|| QueryIndex::build(inst)),
         );
         group.bench_with_input(BenchmarkId::new("dominant_graph", n), &inst, |b, inst| {
-            b.iter(|| DominantGraph::build(inst.objects()))
+            b.iter(|| DominantGraph::build(inst.objects_flat()))
         });
     }
     group.finish();

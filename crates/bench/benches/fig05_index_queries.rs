@@ -26,15 +26,7 @@ fn bench(c: &mut Criterion) {
             |b, inst| b.iter(|| QueryIndex::build(inst)),
         );
         group.bench_with_input(BenchmarkId::new("rtree_only", m), &inst, |b, inst| {
-            b.iter(|| {
-                RTree::bulk(
-                    inst.dim(),
-                    inst.queries()
-                        .iter()
-                        .enumerate()
-                        .map(|(qi, q)| (q.weights.clone(), qi)),
-                )
-            })
+            b.iter(|| RTree::bulk(inst.dim(), inst.weights_flat().iter_rows().zip(0usize..)))
         });
     }
     group.finish();

@@ -26,20 +26,12 @@ fn bench(c: &mut Criterion) {
             |b, inst| b.iter(|| QueryIndex::build(inst)),
         );
         group.bench_with_input(BenchmarkId::new("rtree_only", name), &inst, |b, inst| {
-            b.iter(|| {
-                RTree::bulk(
-                    inst.dim(),
-                    inst.queries()
-                        .iter()
-                        .enumerate()
-                        .map(|(qi, q)| (q.weights.clone(), qi)),
-                )
-            })
+            b.iter(|| RTree::bulk(inst.dim(), inst.weights_flat().iter_rows().zip(0usize..)))
         });
         group.bench_with_input(
             BenchmarkId::new("dominant_graph", name),
             &inst,
-            |b, inst| b.iter(|| DominantGraph::build(inst.objects())),
+            |b, inst| b.iter(|| DominantGraph::build(inst.objects_flat())),
         );
     }
     group.finish();

@@ -7,9 +7,6 @@
 //! series as rows; the Criterion benches under `benches/` give per-figure
 //! statistical timings at smoke scale.
 
-// Timing is this crate's job: wall-clock constructors are unbanned here
-// (clippy.toml disallowed-methods; see iq-lint wallclock-in-core).
-#![allow(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod harness;

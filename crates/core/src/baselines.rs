@@ -11,7 +11,7 @@ use crate::search::{
     SearchOptions,
 };
 use iq_geometry::{FlatMatrix, Vector};
-use iq_topk::naive::kth_best_excluding_flat;
+use iq_topk::naive::kth_best_excluding;
 use iq_topk::rta;
 use rand::Rng;
 
@@ -40,10 +40,11 @@ impl<'a> RtaEvaluator<'a> {
     /// Creates the evaluator; `O(m)` RTA passes establish the initial hits
     /// and one `O(m·n log k)` sweep fixes the admission thresholds.
     pub fn new(instance: &'a Instance, target: usize) -> Self {
-        let thresh = instance
-            .queries()
-            .iter()
-            .map(|q| kth_best_excluding_flat(instance.objects_flat(), &q.weights, q.k, target))
+        let thresh = (0..instance.num_queries())
+            .map(|q| {
+                let (w, k) = (instance.weights(q), instance.k(q));
+                kth_best_excluding(instance.objects_flat(), w, k, target)
+            })
             .collect();
         let mut ev = RtaEvaluator {
             instance,
@@ -58,8 +59,14 @@ impl<'a> RtaEvaluator<'a> {
         ev
     }
 
+    /// RTA over the private object copy.
+    fn reverse_top_k(&self) -> rta::RtaResult {
+        let inst = self.instance;
+        rta::reverse_top_k(&self.objects, inst.weights_flat(), inst.ks(), self.target)
+    }
+
     fn refresh_hits(&mut self) {
-        let res = rta::reverse_top_k_flat(&self.objects, self.instance.queries(), self.target);
+        let res = self.reverse_top_k();
         self.hit.iter_mut().for_each(|h| *h = false);
         for &q in &res.hits {
             self.hit[q] = true;
@@ -83,17 +90,13 @@ impl HitEvaluator for RtaEvaluator<'_> {
 
     fn required_rhs(&self, q: usize) -> Option<f64> {
         let (_, thresh) = self.thresh[q]?;
-        let ts = self
-            .objects
-            .dot_row(self.target, &self.instance.queries()[q].weights);
+        let ts = self.objects.dot_row(self.target, self.instance.weights(q));
         Some(thresh - ts - strict_eps(thresh))
     }
 
     fn reach_rhs(&self, q: usize) -> Option<f64> {
         let (_, thresh) = self.thresh[q]?;
-        let ts = self
-            .objects
-            .dot_row(self.target, &self.instance.queries()[q].weights);
+        let ts = self.objects.dot_row(self.target, self.instance.weights(q));
         Some(thresh - ts + strict_eps(thresh))
     }
 
@@ -101,7 +104,7 @@ impl HitEvaluator for RtaEvaluator<'_> {
         // Temporarily improve the private copy, run RTA, restore.
         let saved = self.objects.row(self.target).to_vec();
         self.objects.add_to_row(self.target, s.as_slice());
-        let count = rta::hit_count_flat(&self.objects, self.instance.queries(), self.target);
+        let count = self.reverse_top_k().hits.len();
         self.objects.set_row(self.target, &saved);
         count
     }

@@ -17,9 +17,9 @@
 //!
 //! * [`EvalContext`] — everything derived from the instance and the
 //!   [`QueryIndex`] that never changes during a search: admission
-//!   thresholds and the threshold-object grouping
-//!   ([`GroupedQueryIndex`] forest). Read-only, `Send + Sync`, and shared
-//!   freely across worker threads.
+//!   thresholds and the threshold-object grouping (query ids sorted by
+//!   threshold object, one run and one bounding box per group).
+//!   Read-only, `Send + Sync`, and shared freely across worker threads.
 //! * [`EvalCursor`] — the per-search scratch: the cumulative applied
 //!   strategy and the current hit bitmap. Cheap to clone, owned by exactly
 //!   one search (or thread) at a time.
@@ -32,8 +32,9 @@
 //! target.
 //!
 //! [`EvalContext::evaluate`] exploits both observations above: queries are
-//! pre-grouped by threshold object, and one slab query per group retrieves
-//! exactly the candidates whose status may change.
+//! pre-grouped by threshold object, a group whose bounding box misses its
+//! slab is skipped whole, and only the members inside the slab are
+//! re-scored.
 //! [`EvalContext::evaluate_pairwise`] is the literal Algorithm 2 loop over
 //! *all* intersecting objects, kept for validation; both are
 //! property-tested against naive re-evaluation.
@@ -41,8 +42,7 @@
 use crate::exec::ExecPolicy;
 use crate::model::{ImprovementStrategy, Instance};
 use crate::subdomain::QueryIndex;
-use iq_geometry::{Slab, Vector};
-use iq_index::GroupedQueryIndex;
+use iq_geometry::{BoundingBox, Slab, Vector};
 use iq_topk::naive::rank_cmp;
 use std::cmp::Ordering;
 
@@ -61,8 +61,21 @@ pub struct EvalContext<'a> {
     /// Per query: the admission threshold `(object id, score)`; `None`
     /// when the dataset has fewer than `k` other objects (trivial hit).
     thresh: Vec<Option<(u32, f64)>>,
-    /// Queries grouped by threshold object for slab retrieval.
-    grouped: GroupedQueryIndex,
+    /// The ids of the queries with a threshold, sorted by (threshold
+    /// object, id): each group is one run.
+    members: Vec<u32>,
+    /// The groups in ascending threshold-object order.
+    groups: Vec<Group>,
+}
+
+/// The queries sharing one threshold object: a run of the context's
+/// `members` and the bounding box of their weight rows.
+#[derive(Debug, Clone)]
+struct Group {
+    object: u32,
+    start: u32,
+    end: u32,
+    bbox: BoundingBox,
 }
 
 /// The mutable, per-search half: cumulative applied strategy plus the hit
@@ -115,23 +128,39 @@ impl<'a> EvalContext<'a> {
         target: usize,
         exec: &ExecPolicy,
     ) -> Self {
-        let thresh: Vec<Option<(u32, f64)>> = exec.map(instance.queries(), |qi, _| {
+        let thresh: Vec<Option<(u32, f64)>> = exec.map(instance.ks(), |qi, _| {
             index
                 .threshold_for(instance, qi, target)
                 .map(|(o, s)| (o as u32, s))
         });
-        // Group by threshold object, then STR-pack each group once.
-        let grouped = GroupedQueryIndex::build(
-            instance.dim().max(1),
-            thresh.iter().enumerate().filter_map(|(qi, t)| {
-                t.map(|(o, _)| (o as usize, instance.queries()[qi].weights.clone(), qi))
-            }),
-        );
+        // Group by threshold object: sort the query ids once, then bound
+        // each run's weight rows.
+        let object_of = |q: &u32| thresh[*q as usize].map_or(0, |(o, _)| o);
+        let mut members = Vec::with_capacity(thresh.len());
+        members.extend((0..thresh.len() as u32).filter(|&q| thresh[q as usize].is_some()));
+        members.sort_unstable_by_key(|q| (object_of(q), *q));
+        let runs = || members.chunk_by(|a, b| object_of(a) == object_of(b));
+        let mut groups = Vec::with_capacity(runs().count());
+        let mut start = 0;
+        for run in runs() {
+            let mut bbox = BoundingBox::empty(instance.dim());
+            for &q in run {
+                bbox.merge_point(instance.weights(q as usize));
+            }
+            groups.push(Group {
+                object: object_of(&run[0]),
+                start,
+                end: start + run.len() as u32,
+                bbox,
+            });
+            start += run.len() as u32;
+        }
         EvalContext {
             instance,
             target,
             thresh,
-            grouped,
+            members,
+            groups,
         }
     }
 
@@ -266,50 +295,36 @@ impl<'a> EvalContext<'a> {
         // must have been touched by some slab scan, or the pruning is
         // unsound. Tracked only under debug-invariants.
         #[cfg(feature = "debug-invariants")]
-        let visited = std::cell::RefCell::new(vec![false; self.instance.num_queries()]);
-        for group in self.grouped.group_keys() {
-            let o_attrs = Vector::from(self.instance.object(group));
-            match Slab::affected_subspace(p_eff, &o_attrs, s) {
-                Some(slab) => {
-                    self.grouped
-                        .visit_slab_tol(group, &slab, BOUNDARY_TOL, &mut |qi| {
-                            #[cfg(feature = "debug-invariants")]
-                            {
-                                visited.borrow_mut()[qi] = true;
-                            }
-                            let now = self.hit_status(qi, wf.dot_row(qi, p_new.as_slice()));
-                            if now != cursor.hit[qi] {
-                                visit(qi, cursor.hit[qi], now);
-                            }
-                        });
+        let mut visited = vec![false; self.instance.num_queries()];
+        for g in &self.groups {
+            let o_attrs = Vector::from(self.instance.object(g.object as usize));
+            // `None`: a degenerate boundary (the target coincides with the
+            // threshold object before or after) — scan the whole group.
+            let slab = Slab::affected_subspace(p_eff, &o_attrs, s);
+            if let Some(slab) = &slab {
+                if g.bbox.disjoint_from_slab_tol(slab, BOUNDARY_TOL) {
+                    continue;
                 }
-                None => {
-                    // Degenerate boundary (target coincides with the
-                    // threshold object before or after): scan the group.
-                    self.grouped.visit_slab_tol(
-                        group,
-                        &Slab::new(
-                            always_straddling(self.instance.dim()),
-                            always_straddling(self.instance.dim()),
-                        ),
-                        f64::INFINITY,
-                        &mut |qi| {
-                            #[cfg(feature = "debug-invariants")]
-                            {
-                                visited.borrow_mut()[qi] = true;
-                            }
-                            let now = self.hit_status(qi, wf.dot_row(qi, p_new.as_slice()));
-                            if now != cursor.hit[qi] {
-                                visit(qi, cursor.hit[qi], now);
-                            }
-                        },
-                    );
+            }
+            for &qi in &self.members[g.start as usize..g.end as usize] {
+                let qi = qi as usize;
+                if let Some(slab) = &slab {
+                    if !slab.contains_tol(wf.row(qi), BOUNDARY_TOL) {
+                        continue;
+                    }
+                }
+                #[cfg(feature = "debug-invariants")]
+                {
+                    visited[qi] = true;
+                }
+                let now = self.hit_status(qi, wf.dot_row(qi, p_new.as_slice()));
+                if now != cursor.hit[qi] {
+                    visit(qi, cursor.hit[qi], now);
                 }
             }
         }
         #[cfg(feature = "debug-invariants")]
         {
-            let visited = visited.into_inner();
             for (qi, seen) in visited.iter().enumerate() {
                 let now = self.hit_status(qi, wf.dot_row(qi, p_new.as_slice()));
                 assert!(
@@ -392,12 +407,6 @@ const _: () = {
 /// magnitude (shared with the RTA evaluator).
 pub(crate) fn strict_eps(scale: f64) -> f64 {
     1e-9 * (1.0 + scale.abs())
-}
-
-/// A hyperplane that straddles everything — used to force a full-group
-/// scan through the slab-visit API in the degenerate case.
-fn always_straddling(dim: usize) -> iq_geometry::Hyperplane {
-    iq_geometry::Hyperplane::new(Vector::basis(dim.max(1), 0, 1.0), 0.0)
 }
 
 #[cfg(test)]
@@ -513,7 +522,7 @@ mod tests {
             let Some(rhs) = ctx.required_rhs(&cur, q) else {
                 continue;
             };
-            let w = Vector::from(inst.queries()[q].weights.as_slice());
+            let w = Vector::from(inst.weights(q));
             // A strategy achieving w·s = rhs must hit the query…
             if let Some(s) = iq_solver::min_norm_single(&w, rhs) {
                 let new_hits = ctx.evaluate_changes(&cur, &s);

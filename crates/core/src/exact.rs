@@ -30,7 +30,7 @@ fn hit_conditions(ctx: &EvalContext<'_>, cursor: &EvalCursor) -> Vec<HitConditio
     let inst = ctx.instance();
     (0..inst.num_queries())
         .map(|q| {
-            let a = Vector::from(inst.queries()[q].weights.as_slice());
+            let a = Vector::from(inst.weights(q));
             // Trivially-hit queries (no threshold) are satisfied by any
             // strategy; encode them with a constraint on the zero normal...
             // which HitCondition cannot express, so use rhs = +∞-ish via a

@@ -257,9 +257,9 @@ mod tests {
     fn union_hits_ground_truth(inst: &Instance, targets: &[usize]) -> usize {
         (0..inst.num_queries())
             .filter(|&q| {
-                targets
-                    .iter()
-                    .any(|&t| iq_topk::naive::hits(inst.objects(), &inst.queries()[q], t))
+                targets.iter().any(|&t| {
+                    iq_topk::naive::hits(inst.objects_flat(), inst.weights(q), inst.k(q), t)
+                })
             })
             .count()
     }

@@ -196,14 +196,15 @@ pub(crate) fn candidates<E: HitEvaluator>(
     // hitting it; rhs-less and unsolvable queries count as reachable at
     // any cost.
     let mut reach_costs = Vec::new();
-    for (q, query) in ev.instance().queries().iter().enumerate() {
+    for q in 0..ev.instance().num_queries() {
         if skip(q) {
             continue;
         }
+        let weights = ev.instance().weights(q);
         let mut reach_cost = f64::NEG_INFINITY;
         if let Some(rhs) = ev.required_rhs(q) {
             if let Some((strategy, cost_inc)) =
-                cost_fn.min_cost_to_satisfy(&query.weights, rhs, rem_bounds)
+                cost_fn.min_cost_to_satisfy(weights, rhs, rem_bounds)
             {
                 cands.push(Candidate {
                     target,
@@ -214,7 +215,7 @@ pub(crate) fn candidates<E: HitEvaluator>(
                     hits: None,
                 });
                 if let Some(reach) = ev.reach_rhs(q) {
-                    let lb = cost_fn.min_cost_lower_bound(&query.weights, reach, rem_bounds);
+                    let lb = cost_fn.min_cost_lower_bound(weights, reach, rem_bounds);
                     if !lb.is_nan() {
                         reach_cost = lb;
                     }

@@ -85,8 +85,8 @@ impl QueryIndex {
         // object matrix; each worker reuses one scores buffer across its
         // whole share of the queries (no per-query allocation).
         let objects = instance.objects_flat();
-        let toplists: Vec<Vec<u32>> = exec.map_init(Vec::new, instance.queries(), |buf, _, q| {
-            naive::top_k_flat(objects, &q.weights, kprime, buf)
+        let toplists: Vec<Vec<u32>> = exec.map_init(Vec::new, instance.ks(), |buf, q, _| {
+            naive::top_k(objects, instance.weights(q), kprime, buf)
                 .into_iter()
                 .map(|i| i as u32)
                 .collect()
@@ -104,24 +104,29 @@ impl QueryIndex {
             subdomain_of[qi] = sd;
         }
 
-        // The workload is known up front: STR bulk-load straight into the
-        // arena layout instead of one insert per query.
+        Self::assemble(instance, kprime, subdomain_of, subdomains, by_toplist)
+    }
+
+    /// Completes an index from its subdomains: STR bulk-loads the query
+    /// points (the workload is known up front, so no insert per query) and
+    /// fills the boundary filter.
+    fn assemble(
+        instance: &Instance,
+        kprime: usize,
+        subdomain_of: Vec<u32>,
+        subdomains: Vec<SubdomainEntry>,
+        by_toplist: BTreeMap<Vec<u32>, u32>,
+    ) -> Self {
         let rtree = RTree::bulk(
             instance.dim().max(1),
-            instance
-                .queries()
-                .iter()
-                .enumerate()
-                .map(|(qi, q)| (q.weights.clone(), qi)),
+            (0..instance.num_queries()).map(|qi| (instance.weights(qi), qi)),
         );
-
         let mut boundary_filter = BloomFilter::new((subdomains.len() * kprime).max(16), 0.01);
         for sd in &subdomains {
             for &o in &sd.toplist {
                 boundary_filter.insert(&o);
             }
         }
-
         QueryIndex {
             dim: instance.dim(),
             kprime,
@@ -152,9 +157,9 @@ impl QueryIndex {
             }
         }
         let points: Vec<Vec<f64>> = instance
-            .queries()
-            .iter()
-            .map(|q| q.weights.clone())
+            .weights_flat()
+            .iter_rows()
+            .map(<[f64]>::to_vec)
             .collect();
         let partition = bsp::find_subdomains(&hyperplanes, &points);
 
@@ -163,20 +168,24 @@ impl QueryIndex {
         let kprime = instance.max_k() + 1;
         let mut subdomains = Vec::with_capacity(partition.len());
         let mut subdomain_of = vec![0u32; instance.num_queries()];
+        let mut scratch = Vec::new();
+        let mut toplist_of = |q: usize| -> Vec<u32> {
+            naive::top_k(
+                instance.objects_flat(),
+                instance.weights(q),
+                kprime,
+                &mut scratch,
+            )
+            .into_iter()
+            .map(|i| i as u32)
+            .collect()
+        };
         for (sd_id, cell) in partition.subdomains.iter().enumerate() {
-            let rep = cell.queries[0];
-            let toplist: Vec<u32> =
-                naive::top_k(instance.objects(), &instance.queries()[rep].weights, kprime)
-                    .into_iter()
-                    .map(|i| i as u32)
-                    .collect();
+            let toplist = toplist_of(cell.queries[0]);
             for &qi in &cell.queries {
                 subdomain_of[qi] = sd_id as u32;
                 debug_assert_eq!(
-                    naive::top_k(instance.objects(), &instance.queries()[qi].weights, kprime)
-                        .into_iter()
-                        .map(|i| i as u32)
-                        .collect::<Vec<_>>(),
+                    toplist_of(qi),
                     toplist,
                     "BSP cell members disagree on ranking"
                 );
@@ -186,35 +195,13 @@ impl QueryIndex {
                 toplist,
             });
         }
-        let rtree = RTree::bulk(
-            instance.dim().max(1),
-            instance
-                .queries()
-                .iter()
-                .enumerate()
-                .map(|(qi, q)| (q.weights.clone(), qi)),
-        );
-        let mut boundary_filter = BloomFilter::new((subdomains.len() * kprime).max(16), 0.01);
-        for sd in &subdomains {
-            for &o in &sd.toplist {
-                boundary_filter.insert(&o);
-            }
-        }
         let by_toplist = subdomains
             .iter()
             .enumerate()
             .map(|(i, sd)| (sd.toplist.clone(), i as u32))
             .collect();
         (
-            QueryIndex {
-                dim: instance.dim(),
-                kprime,
-                subdomain_of,
-                subdomains,
-                by_toplist,
-                rtree,
-                boundary_filter,
-            },
+            Self::assemble(instance, kprime, subdomain_of, subdomains, by_toplist),
             partition,
         )
     }
@@ -284,7 +271,7 @@ impl QueryIndex {
         query: usize,
         target: usize,
     ) -> Option<(usize, f64)> {
-        let q = &instance.queries()[query];
+        let k = instance.k(query);
         let toplist = self.toplist_of(query);
         let mut seen = 0usize;
         for &o in toplist {
@@ -293,13 +280,16 @@ impl QueryIndex {
                 continue;
             }
             seen += 1;
-            if seen == q.k {
-                return Some((o, instance.objects_flat().dot_row(o, &q.weights)));
+            if seen == k {
+                return Some((
+                    o,
+                    instance.objects_flat().dot_row(o, instance.weights(query)),
+                ));
             }
         }
         // Candidate list exhausted: fewer than k other objects exist in
         // the whole dataset iff n - 1 < k.
-        if instance.num_objects() > 0 && instance.num_objects() - 1 < q.k {
+        if instance.num_objects() > 0 && instance.num_objects() - 1 < k {
             None
         } else {
             // K' was sized as max_k + 1 so this cannot happen: the list
@@ -337,9 +327,9 @@ impl QueryIndex {
                 return Err(format!("query {qi} missing from its subdomain member list"));
             }
             // The stored toplist must equal the query's actual ranking.
-            let actual: Vec<u32> = naive::top_k_flat(
+            let actual: Vec<u32> = naive::top_k(
                 instance.objects_flat(),
-                &instance.queries()[qi].weights,
+                instance.weights(qi),
                 self.kprime,
                 &mut scratch,
             )
@@ -364,7 +354,7 @@ impl QueryIndex {
             if std::mem::replace(slot, true) {
                 return Err(format!("R-tree holds query {} twice", e.data));
             }
-            if e.point != instance.queries()[e.data].weights {
+            if e.point != instance.weights(e.data) {
                 return Err(format!("R-tree point of query {} is stale", e.data));
             }
         }
@@ -407,14 +397,17 @@ mod tests {
         idx.check_invariants(&inst).unwrap();
         for sd in idx.subdomains() {
             let rep = sd.queries[0] as usize;
-            let want = naive::top_k(inst.objects(), &inst.queries()[rep].weights, idx.kprime());
-            for &qi in &sd.queries {
-                let got = naive::top_k(
-                    inst.objects(),
-                    &inst.queries()[qi as usize].weights,
+            let top = |q: usize| {
+                naive::top_k(
+                    inst.objects_flat(),
+                    inst.weights(q),
                     idx.kprime(),
-                );
-                assert_eq!(got, want);
+                    &mut Vec::new(),
+                )
+            };
+            let want = top(rep);
+            for &qi in &sd.queries {
+                assert_eq!(top(qi as usize), want);
             }
         }
     }
@@ -467,9 +460,9 @@ mod tests {
             for target in [0usize, 7, 24] {
                 let got = idx.threshold_for(&inst, qi, target);
                 let want = naive::kth_best_excluding(
-                    inst.objects(),
-                    &inst.queries()[qi].weights,
-                    inst.queries()[qi].k,
+                    inst.objects_flat(),
+                    inst.weights(qi),
+                    inst.k(qi),
                     target,
                 );
                 match (got, want) {
@@ -512,17 +505,18 @@ mod tests {
         let inst = random_instance(20, 30, 3, 4, 17);
         let fresh = QueryIndex::build(&inst);
         fresh.check_invariants(&inst).unwrap();
-        let w0 = inst.queries()[0].weights.clone();
+        let w0 = inst.weights(0);
 
         // Same population, but query 0 indexed at a point it does not have.
         let mut moved = fresh.clone();
-        assert_eq!(moved.rtree.remove(&w0, |&d| d == 0), Some(0));
-        moved.rtree.insert(w0.iter().map(|x| x + 0.5).collect(), 0);
+        assert_eq!(moved.rtree.remove(w0, |&d| d == 0), Some(0));
+        let shifted: Vec<f64> = w0.iter().map(|x| x + 0.5).collect();
+        moved.rtree.insert(&shifted, 0);
         assert!(moved.check_invariants(&inst).is_err());
 
         // Same population, but query 0's point carries query 1's id.
         let mut relabeled = fresh.clone();
-        assert_eq!(relabeled.rtree.remove(&w0, |&d| d == 0), Some(0));
+        assert_eq!(relabeled.rtree.remove(w0, |&d| d == 0), Some(0));
         relabeled.rtree.insert(w0, 1);
         assert!(relabeled.check_invariants(&inst).is_err());
     }

@@ -68,7 +68,7 @@ fn compute_toplist(
     kprime: usize,
     scratch: &mut Vec<f64>,
 ) -> Vec<u32> {
-    naive::top_k_flat(instance.objects_flat(), weights, kprime, scratch)
+    naive::top_k(instance.objects_flat(), weights, kprime, scratch)
         .into_iter()
         .map(|i| i as u32)
         .collect()
@@ -188,15 +188,15 @@ pub fn add_query(
         query.k,
         index.kprime
     );
-    let weights = query.weights.clone();
-    let qid = instance.push_query(query)?;
+    let weights = &query.weights;
+    let qid = instance.push_query(weights, query.k)?;
     let mut scores = Vec::new();
-    instance.objects_flat().scores_into(&weights, &mut scores);
+    instance.objects_flat().scores_into(weights, &mut scores);
 
     // Candidate subdomains from the nearest indexed query points.
     let mut assigned = false;
     let mut probed: Vec<u32> = Vec::new();
-    for (entry, _) in index.rtree.nearest_k(&weights, KNN_CANDIDATES) {
+    for (entry, _) in index.rtree.nearest_k(weights, KNN_CANDIDATES) {
         let sd = index.subdomain_of[entry.data];
         if probed.contains(&sd) {
             continue;
@@ -247,8 +247,8 @@ pub fn remove_query(
 
     if qid != last {
         // The old last query now lives at `qid`; patch its id everywhere.
-        let moved_weights = instance.queries()[qid].weights.clone();
-        index.rtree.remove(&moved_weights, |&d| d == last);
+        let moved_weights = instance.weights(qid);
+        index.rtree.remove(moved_weights, |&d| d == last);
         index.rtree.insert(moved_weights, qid);
         let sd = index.subdomain_of[last] as usize;
         if let Some(pos) = index.subdomains[sd]
@@ -270,7 +270,7 @@ pub fn remove_query(
 pub fn add_object(
     instance: &mut Instance,
     index: &mut QueryIndex,
-    attrs: Vec<f64>,
+    attrs: &[f64],
     stats: &mut UpdateStats,
 ) -> Result<usize, ModelError> {
     let oid = instance.push_object(attrs)?;
@@ -325,7 +325,7 @@ fn rerank_object(instance: &Instance, index: &mut QueryIndex, oid: usize, stats:
             _ => list.last().copied(),
         };
         for &q in &entry.queries {
-            let weights = &instance.queries()[q as usize].weights;
+            let weights = instance.weights(q as usize);
             let s = score(object, weights);
             let beats_bar = bar.is_some_and(|b| {
                 let b = b as usize;
@@ -386,7 +386,7 @@ pub fn remove_last_object(
             continue;
         }
         for &q in &entry.queries {
-            let weights = &instance.queries()[q as usize].weights;
+            let weights = instance.weights(q as usize);
             let toplist = compute_toplist(instance, weights, index.kprime, &mut scratch);
             stats.toplists_recomputed += 1;
             changed.push((q as usize, toplist));
@@ -471,6 +471,23 @@ mod tests {
     }
 
     #[test]
+    fn rejected_query_leaves_instance_and_index_untouched() {
+        let mut inst = random_instance(30, 20, 3, 4, 8);
+        let mut index = QueryIndex::build(&inst);
+        let before = (format!("{inst:?}"), format!("{index:?}"));
+        let mut stats = UpdateStats::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let query = TopKQuery::new(vec![0.5, bad, 0.5], 2);
+            assert_eq!(
+                add_query(&mut inst, &mut index, query, &mut stats),
+                Err(ModelError::NonFinite)
+            );
+        }
+        assert_eq!((format!("{inst:?}"), format!("{index:?}")), before);
+        assert_eq!(stats, UpdateStats::default());
+    }
+
+    #[test]
     fn knn_fast_path_fires_for_clustered_queries() {
         let mut rnd = lcg(12);
         let objects: Vec<Vec<f64>> = (0..40).map(|_| vec![rnd(), rnd()]).collect();
@@ -519,7 +536,7 @@ mod tests {
             } else {
                 (0..3).map(|_| rnd() * 0.2).collect()
             };
-            add_object(&mut inst, &mut index, attrs, &mut stats).unwrap();
+            add_object(&mut inst, &mut index, &attrs, &mut stats).unwrap();
             assert_equivalent_to_rebuild(&inst, &index);
         }
         assert!(
@@ -575,7 +592,7 @@ mod tests {
         let mut inst = random_instance(15, 20, 2, 2, 51);
         let mut index = QueryIndex::build(&inst);
         let mut stats = UpdateStats::default();
-        add_object(&mut inst, &mut index, vec![50.0, 50.0], &mut stats).unwrap();
+        add_object(&mut inst, &mut index, &[50.0, 50.0], &mut stats).unwrap();
         let before = stats.toplists_recomputed;
         let mut rm_stats = UpdateStats::default();
         remove_last_object(&mut inst, &mut index, &mut rm_stats).unwrap();
@@ -612,7 +629,7 @@ mod tests {
                 }
                 2 => {
                     let attrs: Vec<f64> = (0..2).map(|_| rnd()).collect();
-                    add_object(&mut inst, &mut index, attrs, &mut stats).unwrap();
+                    add_object(&mut inst, &mut index, &attrs, &mut stats).unwrap();
                 }
                 _ => {
                     if inst.num_objects() > 10 {

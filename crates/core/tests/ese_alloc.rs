@@ -1,6 +1,8 @@
 //! Scoring one query against the improved target must not allocate:
 //! `required_rhs` and `reach_rhs` run once per query per candidate solve,
-//! so an allocation there multiplies by the whole workload.
+//! so an allocation there multiplies by the whole workload. Building one
+//! evaluation context may allocate a few times per threshold group, never
+//! once per query: it reads the weight rows where they are stored.
 //!
 //! A counting global allocator tallies allocations made on the calling
 //! thread only, so other tests running in parallel cannot disturb the
@@ -77,4 +79,25 @@ fn rhs_scoring_allocates_nothing() {
         assert!(sum.is_finite());
         ctx.apply(&mut cursor, &ImprovementStrategy::from([-0.05, -0.02, 0.0]));
     }
+}
+
+#[test]
+fn context_allocates_per_group_not_per_query() {
+    let inst = instance(400, 2_000, 3);
+    let index = QueryIndex::build_with(&inst, &ExecPolicy::sequential());
+    let before = allocations();
+    let ctx = EvalContext::new_with(&inst, &index, 7, &ExecPolicy::sequential());
+    let made = allocations() - before;
+    let groups: std::collections::BTreeSet<usize> = (0..inst.num_queries())
+        .filter_map(|q| ctx.threshold(q).map(|(o, _)| o))
+        .collect();
+    let groups = groups.len() as u64;
+    // The bound only separates the two growth rates while the queries far
+    // outnumber the groups.
+    assert!(groups * 8 < inst.num_queries() as u64, "{groups} groups");
+    assert!(
+        made <= 4 * groups + 16,
+        "one context over {} queries in {groups} groups allocated {made} times",
+        inst.num_queries()
+    );
 }

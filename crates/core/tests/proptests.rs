@@ -159,14 +159,14 @@ fn exhaustive_oracle<E: HitEvaluator>(
         let rem = bounds.remaining(ev.applied());
         // (query, strategy, cost, hits)
         let mut cands: Vec<(usize, Vector, f64, usize)> = Vec::new();
-        for (q, query) in ev.instance().queries().iter().enumerate() {
+        for q in 0..ev.instance().num_queries() {
             if ev.is_hit(q) {
                 continue;
             }
             let Some(rhs) = ev.required_rhs(q) else {
                 continue;
             };
-            if let Some((s, c)) = cost_fn.min_cost_to_satisfy(&query.weights, rhs, &rem) {
+            if let Some((s, c)) = cost_fn.min_cost_to_satisfy(ev.instance().weights(q), rhs, &rem) {
                 cands.push((q, s, c, 0));
             }
         }
@@ -281,11 +281,11 @@ fn multi_exhaustive_oracle(
         let mut cands: Vec<(usize, Vector, f64, i64)> = Vec::new();
         for (t, ((ctx, cursor), spec)) in evs.iter().zip(targets).enumerate() {
             let rem = spec.bounds.remaining(cursor.applied());
-            for (q, query) in inst.queries().iter().enumerate() {
+            for q in 0..inst.num_queries() {
                 let Some(rhs) = ctx.required_rhs(cursor, q).filter(|_| hit_by[q] == 0) else {
                     continue;
                 };
-                if let Some((s, c)) = spec.cost_fn.min_cost_to_satisfy(&query.weights, rhs, &rem) {
+                if let Some((s, c)) = spec.cost_fn.min_cost_to_satisfy(inst.weights(q), rhs, &rem) {
                     let gain = ctx
                         .evaluate_changes(cursor, &s)
                         .iter()
@@ -350,13 +350,27 @@ fn multi_exhaustive_oracle(
 }
 
 /// The union hit count of `targets` on `inst`, by naive top-k.
+/// Whether `target` is in query `q`'s top-k (the naive oracle).
+fn hits(inst: &Instance, q: usize, target: usize) -> bool {
+    iq_topk::naive::hits(inst.objects_flat(), inst.weights(q), inst.k(q), target)
+}
+
+/// The instance's rows as `Instance::new` takes them.
+fn rows(inst: &Instance) -> (Vec<Vec<f64>>, Vec<TopKQuery>) {
+    let objects = inst
+        .objects_flat()
+        .iter_rows()
+        .map(<[f64]>::to_vec)
+        .collect();
+    let queries = (0..inst.num_queries())
+        .map(|q| TopKQuery::new(inst.weights(q).to_vec(), inst.k(q)))
+        .collect();
+    (objects, queries)
+}
+
 fn union_hits_naive(inst: &Instance, targets: &[usize]) -> usize {
     (0..inst.num_queries())
-        .filter(|&q| {
-            targets
-                .iter()
-                .any(|&t| iq_topk::naive::hits(inst.objects(), &inst.queries()[q], t))
-        })
+        .filter(|&q| targets.iter().any(|&t| hits(inst, q, t)))
         .count()
 }
 
@@ -399,8 +413,8 @@ proptest! {
             reported[*q] = Some(*now);
         }
         for (q, &rep) in reported.iter().enumerate() {
-            let was = iq_topk::naive::hits(inst.objects(), &inst.queries()[q], target);
-            let now = iq_topk::naive::hits(improved.objects(), &improved.queries()[q], target);
+            let was = hits(&inst, q, target);
+            let now = hits(&improved, q, target);
             match rep {
                 Some(r) => {
                     prop_assert_eq!(r, now, "query {} wrong direction", q);
@@ -605,8 +619,7 @@ proptest! {
         let mut ids: Vec<usize> = tsel.iter().map(|t| t % inst.num_objects()).collect();
         ids.sort_unstable();
         ids.dedup();
-        let mut objects = inst.objects().to_vec();
-        let mut queries = inst.queries().to_vec();
+        let (mut objects, mut queries) = rows(&inst);
         // A twin: the first target's object again, as one more target.
         if twin {
             objects.push(objects[ids[0]].clone());
@@ -676,7 +689,7 @@ proptest! {
             }
         }
         for attrs in new_objects {
-            add_object(&mut live, &mut index, attrs, &mut stats).unwrap();
+            add_object(&mut live, &mut index, &attrs, &mut stats).unwrap();
         }
         for r in removals {
             if live.num_queries() > 1 {
@@ -711,9 +724,9 @@ proptest! {
             1..24,
         ),
     ) {
-        let mut queries = inst.queries().to_vec();
+        let (objects, mut queries) = rows(&inst);
         queries[0].k = 3;
-        let mut live = Instance::new(inst.objects().to_vec(), queries).unwrap();
+        let mut live = Instance::new(objects, queries).unwrap();
         let mut index = QueryIndex::build(&live);
         let mut stats = UpdateStats::default();
         for (step, (op, a, b, coords, k)) in ops.into_iter().enumerate() {
@@ -730,7 +743,7 @@ proptest! {
                 }
                 3 => {
                     let attrs = if a % 2 == 0 { coords } else { live.object(b % n).to_vec() };
-                    add_object(&mut live, &mut index, attrs, &mut stats).unwrap();
+                    add_object(&mut live, &mut index, &attrs, &mut stats).unwrap();
                 }
                 4 => {
                     add_query(&mut live, &mut index, TopKQuery::new(coords, k), &mut stats)

@@ -23,7 +23,7 @@ use iq_core::{
     max_hit_iq, min_cost_iq, CostFunction, EuclideanCost, Instance, L1Cost, QueryIndex,
     SearchOptions, StrategyBounds, TopKQuery,
 };
-use iq_geometry::Vector;
+use iq_geometry::{FlatMatrix, Vector};
 
 /// The improvable attribute columns of an object table.
 pub fn attribute_columns(table: &Table) -> Vec<usize> {
@@ -52,21 +52,35 @@ pub fn build_instance(objects: &Table, queries: &Table) -> Result<(Instance, Vec
     let d = attrs.len();
 
     let (wcols, kcol) = query_columns(queries, d)?;
-    let mut object_rows = Vec::with_capacity(objects.len());
+    let mut cells = Vec::with_capacity(d);
+    let mut object_rows = FlatMatrix::with_capacity(d, objects.len());
     for row in objects.rows() {
-        let mut o = Vec::with_capacity(d);
-        for &c in &attrs {
-            o.push(numeric(&row[c], "attribute")?);
-        }
-        object_rows.push(o);
+        numeric_cells(row, &attrs, "attribute", &mut cells)?;
+        object_rows.push_row(&cells);
     }
-    let mut query_rows = Vec::with_capacity(queries.len());
+    let mut weights = FlatMatrix::with_capacity(d, queries.len());
+    let mut ks = Vec::with_capacity(queries.len());
     for row in queries.rows() {
-        query_rows.push(query_row(row, &wcols, kcol)?);
+        ks.push(query_row(row, &wcols, kcol, &mut cells)?);
+        weights.push_row(&cells);
     }
-    let instance =
-        Instance::new(object_rows, query_rows).map_err(|e| DbError::Improve(e.to_string()))?;
+    let instance = Instance::from_rows(object_rows, weights, ks)
+        .map_err(|e| DbError::Improve(e.to_string()))?;
     Ok((instance, attrs))
+}
+
+/// `row`'s cells in `cols` as numbers, into `out`.
+fn numeric_cells(
+    row: &[Value],
+    cols: &[usize],
+    what: &str,
+    out: &mut Vec<f64>,
+) -> Result<(), DbError> {
+    out.clear();
+    for &c in cols {
+        out.push(numeric(&row[c], what)?);
+    }
+    Ok(())
 }
 
 /// The weight columns `w1..wd` and the INT column `k` of a query table.
@@ -91,21 +105,20 @@ fn query_columns(queries: &Table, d: usize) -> Result<(Vec<usize>, usize), DbErr
     Ok((wcols, kcol))
 }
 
-/// One query-table row as a top-k query.
-fn query_row(row: &[Value], wcols: &[usize], kcol: usize) -> Result<TopKQuery, DbError> {
-    let mut w = Vec::with_capacity(wcols.len());
-    for &c in wcols {
-        w.push(numeric(&row[c], "weight")?);
+/// One query-table row: its weights into `weights`, and its `k`.
+fn query_row(
+    row: &[Value],
+    wcols: &[usize],
+    kcol: usize,
+    weights: &mut Vec<f64>,
+) -> Result<usize, DbError> {
+    numeric_cells(row, wcols, "weight", weights)?;
+    match &row[kcol] {
+        Value::Int(k) if *k >= 1 => Ok(*k as usize),
+        other => Err(DbError::Improve(format!(
+            "k must be a positive INT, got {other}"
+        ))),
     }
-    let k = match &row[kcol] {
-        Value::Int(k) if *k >= 1 => *k as usize,
-        other => {
-            return Err(DbError::Improve(format!(
-                "k must be a positive INT, got {other}"
-            )))
-        }
-    };
-    Ok(TopKQuery::new(w, k))
 }
 
 /// Whether `row`'s cells in `cols` hold exactly `values`, bit for bit.
@@ -223,11 +236,11 @@ impl Prepared {
     ///
     /// Returns [`NeedsRebuild`] — before mutating anything — when either
     /// table has fewer rows than the instance, an indexed query row
-    /// changed, the attribute or weight columns moved, the entry was
-    /// built from two empty tables, a new query has `k ≥ K'`, or a cell
-    /// is not a finite number. Afterwards the entry answers exactly as
-    /// [`Prepared::build`] over the same tables would. The diff costs
-    /// `O((|D| + |Q|)·d)`; the updates cost what they touch.
+    /// changed, the attribute or weight columns moved, a new query has
+    /// `k ≥ K'`, or a cell is not a finite number. Afterwards the entry
+    /// answers exactly as [`Prepared::build`] over the same tables would.
+    /// The diff costs `O((|D| + |Q|)·d)`; the updates cost what they
+    /// touch.
     pub fn reconcile(
         &mut self,
         objects: &Table,
@@ -240,10 +253,6 @@ impl Prepared {
         }
         if attribute_columns(objects) != self.attrs {
             return Err(NeedsRebuild("the attribute columns moved"));
-        }
-        if inst.dim() != self.attrs.len() {
-            // Built from two empty tables, the instance took dimension 0.
-            return Err(NeedsRebuild("the instance has no dimension yet"));
         }
         let (wcols, kcol) = query_columns(queries, inst.dim())
             .map_err(|_| NeedsRebuild("the weight columns moved"))?;
@@ -263,20 +272,20 @@ impl Prepared {
         }
         let mut new_queries = Vec::new();
         for (q, row) in queries.rows().iter().enumerate() {
-            if let Some(query) = inst.queries().get(q) {
-                let same_k = matches!(row[kcol], Value::Int(k) if k == query.k as i64);
-                if !same_k || !same_bits(row, &wcols, &query.weights) {
+            if q < m {
+                let same_k = matches!(row[kcol], Value::Int(k) if k == inst.k(q) as i64);
+                if !same_k || !same_bits(row, &wcols, inst.weights(q)) {
                     return Err(NeedsRebuild("an indexed query row changed"));
                 }
                 continue;
             }
-            finite_cells(row, &wcols)?;
-            let query = query_row(row, &wcols, kcol)
+            let mut weights = finite_cells(row, &wcols)?;
+            let k = query_row(row, &wcols, kcol, &mut weights)
                 .map_err(|_| NeedsRebuild("a new query row is malformed"))?;
-            if query.k >= self.index.kprime() {
+            if k >= self.index.kprime() {
                 return Err(NeedsRebuild("a new query's k reaches K'"));
             }
-            new_queries.push(query);
+            new_queries.push(TopKQuery::new(weights, k));
         }
 
         // Every row passed the checks the updates repeat, so they succeed.
@@ -289,7 +298,7 @@ impl Prepared {
             stats.moved_objects += 1;
         }
         for attrs in appended {
-            update::add_object(instance, index, attrs, &mut stats.update).map_err(rejected)?;
+            update::add_object(instance, index, &attrs, &mut stats.update).map_err(rejected)?;
             stats.added_objects += 1;
         }
         for query in new_queries {
@@ -300,42 +309,24 @@ impl Prepared {
     }
 }
 
-/// Executes an IMPROVE statement against the object table in place (for
-/// `APPLY`) and returns a result set: one row per target with the
-/// per-attribute deltas, cost, and hit counts.
-pub fn improve(
-    objects: &mut Table,
-    queries: &Table,
-    stmt: &ImproveStmt,
-) -> Result<QueryResult, DbError> {
-    let (result, deltas) = improve_with(objects, queries, stmt, None, &SearchOptions::default())?;
-    if stmt.apply {
-        apply_deltas(objects, &deltas)?;
-    }
-    Ok(result)
-}
-
-/// Read-only IMPROVE (no `APPLY` write-back even if requested): the
-/// concurrent-reader entry point. Returns the result set plus the deltas
-/// the caller may later apply under a write lock.
-pub fn improve_readonly(
-    objects: &Table,
-    queries: &Table,
-    stmt: &ImproveStmt,
-) -> Result<(QueryResult, TargetDeltas), DbError> {
-    improve_with(objects, queries, stmt, None, &SearchOptions::default())
-}
-
 /// Writes per-target attribute deltas back into the object table —
 /// `APPLY`'s mutation, split out so the serving layer can run the search
-/// under a read lock and the write-back under the write lock.
+/// under a read lock and the write-back under the write lock. Every new
+/// cell is computed and checked before the first one is written, so a
+/// failed write-back leaves the table as it was.
 pub fn apply_deltas(objects: &mut Table, deltas: &[(usize, Vec<f64>)]) -> Result<(), DbError> {
     let attrs = attribute_columns(objects);
+    let mut cells = Vec::with_capacity(deltas.len() * attrs.len());
     for (row, strategy) in deltas {
         for (pos, &col) in attrs.iter().enumerate() {
             let old = numeric(&objects.row(*row)[col], "attribute")?;
-            objects.update_cell(*row, col, Value::Float(old + strategy[pos]))?;
+            let cell = Value::Float(old + strategy[pos]);
+            objects.check_cell(col, &cell)?;
+            cells.push((*row, col, cell));
         }
+    }
+    for (row, col, cell) in cells {
+        objects.update_cell(row, col, cell)?;
     }
     Ok(())
 }
@@ -519,6 +510,15 @@ mod tests {
         t
     }
 
+    /// An uncached search with default options.
+    fn search(
+        objs: &Table,
+        qt: &Table,
+        stmt: &ImproveStmt,
+    ) -> Result<(QueryResult, TargetDeltas), DbError> {
+        improve_with(objs, qt, stmt, None, &SearchOptions::default())
+    }
+
     fn improve_stmt(sql: &str) -> ImproveStmt {
         match parse(sql).unwrap() {
             Statement::Improve(s) => s,
@@ -543,11 +543,11 @@ mod tests {
 
     #[test]
     fn mincost_improve_single_target() {
-        let mut objs = object_table();
+        let objs = object_table();
         let qt = query_table();
         // Object 1 (row 0) is the worst; improve it to hit 3 queries.
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 1 MINCOST 3");
-        let r = improve(&mut objs, &qt, &stmt).unwrap();
+        let (r, _) = search(&objs, &qt, &stmt).unwrap();
         assert_eq!(r.rows.len(), 1);
         let hits_after = match r.rows[0][r.columns.iter().position(|c| c == "hits_after").unwrap()]
         {
@@ -560,30 +560,31 @@ mod tests {
     }
 
     #[test]
-    fn apply_keeps_flat_mirrors_coherent_with_table() {
+    fn apply_round_trips_rows_bit_for_bit() {
         let mut objs = object_table();
         let qt = query_table();
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 1 MINCOST 2 APPLY");
-        improve(&mut objs, &qt, &stmt).unwrap();
-        // Rebuild an instance from the written-back table: the SoA mirrors
-        // must agree bitwise with the nested rows, and scoring through
-        // either layout must give identical results (the IMPROVE path
-        // evaluated candidates through the flat kernels; the round-trip
-        // through SQL `Value`s must not perturb a single bit).
-        let (inst, _) = build_instance(&objs, &qt).unwrap();
-        for i in 0..inst.num_objects() {
-            assert_eq!(inst.objects_flat().row(i), inst.object(i), "object {i}");
-        }
-        for (qi, q) in inst.queries().iter().enumerate() {
-            assert_eq!(
-                inst.weights_flat().row(qi),
-                q.weights.as_slice(),
-                "query {qi}"
-            );
-            for i in 0..inst.num_objects() {
-                let nested = iq_geometry::vector::dot(&q.weights, inst.object(i));
-                let flat = inst.weights_flat().dot_row(qi, inst.object(i));
-                assert_eq!(nested.to_bits(), flat.to_bits(), "score q{qi}/o{i}");
+        let (before, _) = build_instance(&objs, &qt).unwrap();
+        let (_, deltas) = search(&objs, &qt, &stmt).unwrap();
+        apply_deltas(&mut objs, &deltas).unwrap();
+        // Rebuilt from the written-back table, the target's row is `p + s`
+        // to the bit: the round-trip through SQL `Value`s perturbs nothing.
+        let (after, _) = build_instance(&objs, &qt).unwrap();
+        let (target, s) = &deltas[0];
+        let want: Vec<u64> = before
+            .object(*target)
+            .iter()
+            .zip(s)
+            .map(|(p, d)| (p + d).to_bits())
+            .collect();
+        let got: Vec<u64> = after.object(*target).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        // The batched kernel scores the rows exactly as the scalar dot.
+        for q in 0..after.num_queries() {
+            for i in 0..after.num_objects() {
+                let scalar = iq_geometry::vector::dot(after.weights(q), after.object(i));
+                let flat = after.weights_flat().dot_row(q, after.object(i));
+                assert_eq!(scalar.to_bits(), flat.to_bits(), "score q{q}/o{i}");
             }
         }
     }
@@ -593,16 +594,11 @@ mod tests {
     fn assert_matches_fresh_build(p: &Prepared, objs: &Table, qt: &Table) {
         let fresh = Prepared::build(objs, qt, &iq_core::ExecPolicy::sequential()).unwrap();
         assert_eq!(p.attrs, fresh.attrs);
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let bits = |inst: &Instance| {
-            let objects: Vec<Vec<u64>> = inst
-                .objects()
-                .iter()
-                .map(|o| o.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            let queries: Vec<(Vec<u64>, usize)> = inst
-                .queries()
-                .iter()
-                .map(|q| (q.weights.iter().map(|v| v.to_bits()).collect(), q.k))
+            let objects: Vec<Vec<u64>> = inst.objects_flat().iter_rows().map(bits).collect();
+            let queries: Vec<(Vec<u64>, usize)> = (0..inst.num_queries())
+                .map(|q| (bits(inst.weights(q)), inst.k(q)))
                 .collect();
             (objects, queries)
         };
@@ -687,7 +683,7 @@ mod tests {
         let mut p = Prepared::build(&empty(object_table()), &empty(query_table()), &exec).unwrap();
         assert_eq!(
             p.reconcile(&object_table(), &query_table()).unwrap_err(),
-            NeedsRebuild("the instance has no dimension yet")
+            NeedsRebuild("a new query's k reaches K'")
         );
         let mut null_cell = object_table();
         null_cell.update_cell(3, 1, Value::Null).unwrap();
@@ -703,16 +699,17 @@ mod tests {
         let qt = query_table();
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 1 MINCOST 2 APPLY");
         let before = objs.row(0)[1].clone();
-        improve(&mut objs, &qt, &stmt).unwrap();
+        let (_, deltas) = search(&objs, &qt, &stmt).unwrap();
+        apply_deltas(&mut objs, &deltas).unwrap();
         assert_ne!(objs.row(0)[1], before, "APPLY did not change the row");
     }
 
     #[test]
     fn freeze_keeps_attribute_fixed() {
-        let mut objs = object_table();
+        let objs = object_table();
         let qt = query_table();
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 1 MINCOST 2 FREEZE weight");
-        let r = improve(&mut objs, &qt, &stmt).unwrap();
+        let (r, _) = search(&objs, &qt, &stmt).unwrap();
         let dw = match r.rows[0][2] {
             Value::Float(v) => v,
             ref other => panic!("{other:?}"),
@@ -722,10 +719,10 @@ mod tests {
 
     #[test]
     fn multi_target_combinatorial() {
-        let mut objs = object_table();
+        let objs = object_table();
         let qt = query_table();
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id >= 4 MAXHIT 0.5");
-        let r = improve(&mut objs, &qt, &stmt).unwrap();
+        let (r, _) = search(&objs, &qt, &stmt).unwrap();
         assert_eq!(r.rows.len(), 2);
         // Total cost within budget.
         let cost_col = r.columns.iter().position(|c| c == "cost").unwrap();
@@ -739,15 +736,15 @@ mod tests {
 
     #[test]
     fn errors_surface() {
-        let mut objs = object_table();
+        let objs = object_table();
         let qt = query_table();
         let stmt = improve_stmt("IMPROVE objs USING prefs WHERE id = 99 MINCOST 1");
         assert!(matches!(
-            improve(&mut objs, &qt, &stmt),
+            search(&objs, &qt, &stmt),
             Err(DbError::Improve(_))
         ));
         let stmt = improve_stmt("IMPROVE objs USING prefs MINCOST 1 FREEZE label");
-        assert!(improve(&mut objs, &qt, &stmt).is_err());
+        assert!(search(&objs, &qt, &stmt).is_err());
         // Query table missing k.
         let bad = Table::new(
             Schema::new(vec![
@@ -764,7 +761,7 @@ mod tests {
         );
         let stmt = improve_stmt("IMPROVE objs USING bad MINCOST 1");
         assert!(matches!(
-            improve(&mut objs, &bad, &stmt),
+            search(&objs, &bad, &stmt),
             Err(DbError::Improve(_))
         ));
     }

@@ -2,9 +2,11 @@
 //! point — the REPL-able surface of the analytic tool.
 
 use crate::exec::{select, QueryResult};
-use crate::parser::{parse, Statement};
+use crate::iqext::{apply_deltas, improve_with, TargetDeltas};
+use crate::parser::{parse, ImproveStmt, Statement};
 use crate::table::{Column, Schema, Table};
 use crate::DbError;
+use iq_core::SearchOptions;
 use std::collections::HashMap;
 
 /// The outcome of executing one statement.
@@ -77,38 +79,43 @@ impl Session {
 
     /// Executes a read-only statement against `&self` — the serving
     /// layer's concurrent-reader entry point (many of these may run in
-    /// parallel under a shared lock). Statements that are not read-only
-    /// per [`crate::parser::is_read_only`] are rejected, including
+    /// parallel under a shared lock), and the one read path of
+    /// [`Self::execute_parsed`]. Statements that are not read-only per
+    /// [`crate::parser::is_read_only`] are rejected, including
     /// `IMPROVE … APPLY`.
     pub fn execute_read(&self, stmt: &Statement) -> Result<Outcome, DbError> {
         match stmt {
-            Statement::Select(sel) => {
-                let t = self
-                    .tables
-                    .get(&sel.table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(sel.table.clone()))?;
-                Ok(Outcome::Rows(select(t, sel)?))
-            }
+            Statement::Select(sel) => Ok(Outcome::Rows(select(self.get(&sel.table)?, sel)?)),
             Statement::ShowTables => Ok(Outcome::Rows(self.show_tables())),
             Statement::ShowWal => Err(DbError::Unsupported(
                 "SHOW WAL requires an iq-server connection with --data-dir".into(),
             )),
-            Statement::Improve(imp) if !imp.apply => {
-                let queries = self
-                    .tables
-                    .get(&imp.query_table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(imp.query_table.clone()))?;
-                let objects = self
-                    .tables
-                    .get(&imp.table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(imp.table.clone()))?;
-                let (result, _deltas) = crate::iqext::improve_readonly(objects, queries, imp)?;
-                Ok(Outcome::Rows(result))
-            }
+            Statement::Improve(imp) if !imp.apply => Ok(Outcome::Rows(self.improve(imp)?.0)),
             other => Err(DbError::Unsupported(format!(
                 "statement is not read-only: {other:?}"
             ))),
         }
+    }
+
+    /// A table by name, or the error naming it.
+    fn get(&self, name: &str) -> Result<&Table, DbError> {
+        self.table(name)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
+    }
+
+    /// A table by name, mutably, or the error naming it.
+    fn get_mut(&mut self, name: String) -> Result<&mut Table, DbError> {
+        self.tables
+            .get_mut(&name.to_ascii_lowercase())
+            .ok_or(DbError::UnknownTable(name))
+    }
+
+    /// An IMPROVE's search over the current tables: the result set and
+    /// the deltas `APPLY` writes back.
+    fn improve(&self, imp: &ImproveStmt) -> Result<(QueryResult, TargetDeltas), DbError> {
+        let queries = self.get(&imp.query_table)?;
+        let objects = self.get(&imp.table)?;
+        improve_with(objects, queries, imp, None, &SearchOptions::default())
     }
 
     /// Executes an already-parsed statement.
@@ -129,42 +136,27 @@ impl Session {
                 Ok(Outcome::Created(name))
             }
             Statement::Insert { table, rows } => {
-                let t = self
-                    .tables
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or(DbError::UnknownTable(table))?;
-                let n = rows.len();
-                for row in rows {
-                    t.insert(row)?;
-                }
-                Ok(Outcome::Inserted(n))
-            }
-            Statement::Select(stmt) => {
-                let t = self
-                    .tables
-                    .get(&stmt.table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(stmt.table.clone()))?;
-                Ok(Outcome::Rows(select(t, &stmt)?))
+                Ok(Outcome::Inserted(self.get_mut(table)?.insert_all(rows)?))
             }
             Statement::Update {
                 table,
                 sets,
                 predicate,
             } => {
-                let t = self
-                    .tables
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or(DbError::UnknownTable(table))?;
-                // Resolve column indices up front so errors surface before
-                // any row is touched.
+                let t = self.get_mut(table)?;
+                // Resolve and type-check every assignment up front, so a
+                // failed UPDATE changes nothing.
                 let cols: Vec<usize> = sets
                     .iter()
-                    .map(|(c, _)| {
-                        t.schema
+                    .map(|(c, v)| {
+                        let col = t
+                            .schema
                             .index_of(c)
-                            .ok_or_else(|| DbError::UnknownColumn(c.clone()))
+                            .ok_or_else(|| DbError::UnknownColumn(c.clone()))?;
+                        t.check_cell(col, v)?;
+                        Ok(col)
                     })
-                    .collect::<Result<_, _>>()?;
+                    .collect::<Result<_, DbError>>()?;
                 let rows = crate::exec::matching_rows(t, predicate.as_ref())?;
                 for &r in &rows {
                     for (&col, (_, v)) in cols.iter().zip(&sets) {
@@ -174,10 +166,7 @@ impl Session {
                 Ok(Outcome::Updated(rows.len()))
             }
             Statement::Delete { table, predicate } => {
-                let t = self
-                    .tables
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or(DbError::UnknownTable(table))?;
+                let t = self.get_mut(table)?;
                 let rows = crate::exec::matching_rows(t, predicate.as_ref())?;
                 Ok(Outcome::Deleted(t.remove_rows(&rows)))
             }
@@ -204,23 +193,11 @@ impl Session {
                 }
                 Ok(Outcome::Dropped(name))
             }
-            Statement::Improve(stmt) => {
-                // Borrow the query table by value (cloned) so the object
-                // table can be mutated by APPLY.
-                let queries = self
-                    .tables
-                    .get(&stmt.query_table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(stmt.query_table.clone()))?
-                    .clone();
-                let objects = self
-                    .tables
-                    .get_mut(&stmt.table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(stmt.table.clone()))?;
-                Ok(Outcome::Rows(crate::iqext::improve(
-                    objects, &queries, &stmt,
-                )?))
+            Statement::Improve(imp) if imp.apply => {
+                let (result, deltas) = self.improve(&imp)?;
+                apply_deltas(self.get_mut(imp.table)?, &deltas)?;
+                Ok(Outcome::Rows(result))
             }
-            Statement::ShowTables => Ok(Outcome::Rows(self.show_tables())),
             Statement::ShowStats => Err(DbError::Unsupported(
                 "SHOW STATS requires an iq-server connection".into(),
             )),
@@ -230,9 +207,7 @@ impl Session {
             Statement::Checkpoint => Err(DbError::Unsupported(
                 "CHECKPOINT requires an iq-server connection with --data-dir".into(),
             )),
-            Statement::ShowWal => Err(DbError::Unsupported(
-                "SHOW WAL requires an iq-server connection with --data-dir".into(),
-            )),
+            read => self.execute_read(&read),
         }
     }
 
@@ -377,6 +352,62 @@ mod tests {
         assert!(s.execute("UPDATE cams SET missing = 1").is_err());
         // DELETE with no predicate empties the table.
         assert_eq!(s.execute("DELETE FROM cams").unwrap(), Outcome::Deleted(2));
+    }
+
+    /// The tables as text, to compare before and after a failed write.
+    fn dump(s: &Session) -> String {
+        s.table_names()
+            .into_iter()
+            .map(|name| format!("{name}: {:?}\n", s.table(name).unwrap().rows()))
+            .collect()
+    }
+
+    #[test]
+    fn failed_insert_changes_nothing() {
+        let mut s = session_with_data();
+        let before = dump(&s);
+        // The first row is valid; the second fails its type check.
+        assert!(matches!(
+            s.execute("INSERT INTO prefs VALUES (0.5, 0.4, 1), ('x', 2, 1)"),
+            Err(DbError::TypeMismatch { .. })
+        ));
+        assert!(s
+            .execute("INSERT INTO prefs VALUES (0.5, 0.4, 1), (0.1)")
+            .is_err());
+        assert_eq!(dump(&s), before);
+    }
+
+    #[test]
+    fn failed_update_changes_nothing() {
+        let mut s = session_with_data();
+        let before = dump(&s);
+        // `res` would take 0.5 before `price` fails its type check.
+        assert!(matches!(
+            s.execute("UPDATE cams SET res = 0.5, price = 'x'"),
+            Err(DbError::TypeMismatch { .. })
+        ));
+        assert_eq!(dump(&s), before);
+    }
+
+    #[test]
+    fn failed_improve_apply_changes_nothing() {
+        let mut s = Session::new();
+        // Two attributes: a FLOAT one the write-back can store, then an
+        // INT one it cannot.
+        s.execute("CREATE TABLE cams (id INT, res FLOAT, stock INT)")
+            .unwrap();
+        s.execute("INSERT INTO cams VALUES (1, 0.9, 9), (2, 0.6, 4), (3, 0.2, 2), (4, 0.8, 7)")
+            .unwrap();
+        s.execute("CREATE TABLE prefs (w1 FLOAT, w2 FLOAT, k INT)")
+            .unwrap();
+        s.execute("INSERT INTO prefs VALUES (0.8, 0.2, 1), (0.5, 0.5, 1), (0.2, 0.8, 2)")
+            .unwrap();
+        let before = dump(&s);
+        let err = s
+            .execute("IMPROVE cams USING prefs WHERE id = 1 MINCOST 3 APPLY")
+            .unwrap_err();
+        assert!(matches!(err, DbError::TypeMismatch { .. }), "{err:?}");
+        assert_eq!(dump(&s), before);
     }
 
     #[test]

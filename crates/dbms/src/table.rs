@@ -102,34 +102,64 @@ impl Table {
         &self.rows[i]
     }
 
-    /// Inserts a row after arity and type checks.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+    /// Checks that `value` fits column `col` — what [`Self::update_cell`]
+    /// requires.
+    pub fn check_cell(&self, col: usize, value: &Value) -> Result<(), DbError> {
+        let c = &self.schema.columns()[col];
+        if value.fits(c.ty) {
+            Ok(())
+        } else {
+            Err(DbError::TypeMismatch {
+                column: c.name.clone(),
+                expected: c.ty,
+                found: value.clone(),
+            })
+        }
+    }
+
+    /// Checks a row's arity and every cell's type — what [`Self::insert`]
+    /// requires.
+    pub fn check_row(&self, row: &[Value]) -> Result<(), DbError> {
         if row.len() != self.schema.len() {
             return Err(DbError::ArityMismatch {
                 expected: self.schema.len(),
                 found: row.len(),
             });
         }
-        for (v, c) in row.iter().zip(self.schema.columns()) {
-            if !v.fits(c.ty) {
-                return Err(DbError::TypeMismatch {
-                    column: c.name.clone(),
-                    expected: c.ty,
-                    found: v.clone(),
-                });
-            }
+        row.iter()
+            .enumerate()
+            .try_for_each(|(col, v)| self.check_cell(col, v))
+    }
+
+    /// Inserts a row after arity and type checks.
+    pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+        self.check_row(&row)?;
+        self.push(row);
+        Ok(())
+    }
+
+    /// Inserts rows all or none: every row is checked before the first
+    /// lands. Returns how many were inserted.
+    pub fn insert_all(&mut self, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
+        for row in &rows {
+            self.check_row(row)?;
         }
-        // Normalize INT→FLOAT coercions on the way in.
+        let n = rows.len();
+        for row in rows {
+            self.push(row);
+        }
+        Ok(n)
+    }
+
+    /// Appends a checked row, storing INTs written to FLOAT columns as
+    /// FLOATs.
+    fn push(&mut self, row: Vec<Value>) {
         let row = row
             .into_iter()
             .zip(self.schema.columns())
-            .map(|(v, c)| match (v, c.ty) {
-                (Value::Int(i), ColumnType::Float) => Value::Float(i as f64),
-                (v, _) => v,
-            })
+            .map(|(v, c)| coerce(v, c.ty))
             .collect();
         self.rows.push(row);
-        Ok(())
     }
 
     /// Removes every row whose index is in `victims` (sorted or not),
@@ -150,21 +180,19 @@ impl Table {
         before - self.rows.len()
     }
 
-    /// Overwrites one cell (used by IMPROVE's APPLY mode).
+    /// Overwrites one cell (used by UPDATE and IMPROVE's APPLY mode).
     pub fn update_cell(&mut self, row: usize, col: usize, value: Value) -> Result<(), DbError> {
-        let c = &self.schema.columns()[col];
-        if !value.fits(c.ty) {
-            return Err(DbError::TypeMismatch {
-                column: c.name.clone(),
-                expected: c.ty,
-                found: value,
-            });
-        }
-        self.rows[row][col] = match (value, c.ty) {
-            (Value::Int(i), ColumnType::Float) => Value::Float(i as f64),
-            (v, _) => v,
-        };
+        self.check_cell(col, &value)?;
+        self.rows[row][col] = coerce(value, self.schema.columns()[col].ty);
         Ok(())
+    }
+}
+
+/// Stores an INT written to a FLOAT column as a FLOAT.
+fn coerce(value: Value, ty: ColumnType) -> Value {
+    match (value, ty) {
+        (Value::Int(i), ColumnType::Float) => Value::Float(i as f64),
+        (v, _) => v,
     }
 }
 

@@ -44,6 +44,14 @@ impl FlatMatrix {
         }
     }
 
+    /// Creates an empty matrix with room for `rows` rows of `dim` columns.
+    pub fn with_capacity(dim: usize, rows: usize) -> Self {
+        FlatMatrix {
+            data: Vec::with_capacity(rows * dim),
+            dim,
+        }
+    }
+
     /// Materialises nested rows into one contiguous buffer.
     ///
     /// # Panics
@@ -127,12 +135,6 @@ impl FlatMatrix {
         for (x, d) in self.row_mut(i).iter_mut().zip(delta) {
             *x += d;
         }
-    }
-
-    /// Removes row `i`, shifting later rows up. `O(n·d)`.
-    pub fn remove_row(&mut self, i: usize) {
-        let d = self.dim;
-        self.data.drain(i * d..(i + 1) * d);
     }
 
     /// Removes row `i` by moving the last row into its slot. `O(d)`.
@@ -312,9 +314,9 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.row(0), &[5.0, 6.0]);
         assert_eq!(m.row(1), &[30.0, 40.0]);
-        m.remove_row(0);
+        m.pop_row();
         assert_eq!(m.rows(), 1);
-        assert_eq!(m.row(0), &[30.0, 40.0]);
+        assert_eq!(m.row(0), &[5.0, 6.0]);
         m.pop_row();
         assert!(m.is_empty());
         m.pop_row(); // no-op on empty

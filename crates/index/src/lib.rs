@@ -3,19 +3,15 @@
 //! Indexing substrate for the `improvement-queries` workspace: a
 //! from-scratch d-dimensional [R-tree](rtree::RTree) (an STR-packed arena
 //! with a small pending run) with window, affected-subspace (slab), and kNN
-//! search; a [bloom filter](bloom::BloomFilter) over subdomain boundary keys
-//! (§4.3 of the paper); and a [grouped query index](grouped::GroupedQueryIndex)
-//! — a build-once forest of per-threshold-object R-trees that routes the slab
-//! queries issued by Efficient Strategy Evaluation.
+//! search; and a [bloom filter](bloom::BloomFilter) over subdomain boundary
+//! keys (§4.3 of the paper).
 
 #![warn(missing_docs)]
 
 pub mod bloom;
-pub mod grouped;
 pub mod rtree;
 
 pub use bloom::BloomFilter;
-pub use grouped::GroupedQueryIndex;
 pub use rtree::{Entry, RTree};
 
 // Marker-trait audit: all query paths on these structures take `&self`
@@ -25,6 +21,5 @@ pub use rtree::{Entry, RTree};
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<RTree<usize>>();
-    assert_send_sync::<GroupedQueryIndex>();
     assert_send_sync::<BloomFilter<u32>>();
 };

@@ -26,18 +26,19 @@
 //!   of §4.3 ("use the subdomains of the k nearest neighbours as candidate
 //!   subdomains of a new query point").
 
-use iq_geometry::{BoundingBox, Slab};
+use iq_geometry::{BoundingBox, FlatMatrix, Slab};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Default maximum number of entries per node.
 pub const DEFAULT_MAX_ENTRIES: usize = 16;
 
-/// A stored point with its payload.
-#[derive(Debug, Clone)]
-pub struct Entry<T> {
+/// A stored point with its payload, as a read hands it out: the point is
+/// borrowed from the tree's coordinate buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry<'a, T> {
     /// Coordinates of the indexed point.
-    pub point: Vec<f64>,
+    pub point: &'a [f64],
     /// Caller payload (typically a query id).
     pub data: T,
 }
@@ -53,21 +54,29 @@ struct ArenaNode {
 }
 
 /// An R-tree over `d`-dimensional points with payloads of type `T`.
+///
+/// Points live in two flat coordinate buffers, one row per point: the
+/// packed slots in leaf order and the pending run in insertion order. No
+/// point owns an allocation.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     dim: usize,
     max_entries: usize,
     /// Packed nodes; index 0 is the root. Empty when nothing is packed.
     nodes: Vec<ArenaNode>,
-    /// Packed entries grouped by leaf; `None` is a tombstone.
-    slots: Vec<Option<Entry<T>>>,
+    /// Packed points, row `i` belonging to slot `i`.
+    coords: FlatMatrix,
+    /// Packed payloads grouped by leaf; `None` is a tombstone.
+    slots: Vec<Option<T>>,
     tombstones: usize,
-    /// Inserts since the last pack, in insertion order.
-    pending: Vec<Entry<T>>,
+    /// Points inserted since the last pack, in insertion order.
+    pending_coords: FlatMatrix,
+    /// Their payloads, row for row.
+    pending: Vec<T>,
     len: usize,
 }
 
-impl<T> RTree<T> {
+impl<T: Copy> RTree<T> {
     /// Creates an empty tree for points of dimension `dim` with the default
     /// node capacity.
     pub fn new(dim: usize) -> Self {
@@ -82,8 +91,10 @@ impl<T> RTree<T> {
             dim,
             max_entries,
             nodes: Vec::new(),
+            coords: FlatMatrix::new(dim),
             slots: Vec::new(),
             tombstones: 0,
+            pending_coords: FlatMatrix::new(dim),
             pending: Vec::new(),
             len: 0,
         }
@@ -93,16 +104,18 @@ impl<T> RTree<T> {
     /// level the points are sorted along the widest-spread axis and cut into
     /// evenly sized runs of capacity `max^(h-1)`, which yields uniform leaf
     /// depth and at-least-half-full nodes by construction.
-    pub fn bulk(dim: usize, items: impl IntoIterator<Item = (Vec<f64>, T)>) -> Self {
+    ///
+    /// # Panics
+    /// Panics if a point's dimensionality is not `dim`.
+    pub fn bulk<'p>(dim: usize, items: impl IntoIterator<Item = (&'p [f64], T)>) -> Self {
         let mut tree = Self::new(dim);
-        let entries = items
-            .into_iter()
-            .map(|(point, data)| {
-                assert_eq!(point.len(), dim, "point dimension mismatch");
-                Entry { point, data }
-            })
-            .collect();
-        tree.pack_entries(entries);
+        let mut points = FlatMatrix::new(dim);
+        let mut data = Vec::new();
+        for (point, d) in items {
+            points.push_row(point);
+            data.push(d);
+        }
+        tree.pack_entries(&points, &data);
         tree
     }
 
@@ -111,12 +124,13 @@ impl<T> RTree<T> {
     /// way; the tree also does this by itself once its pending run grows.
     pub fn pack(&mut self) {
         if !self.is_packed() {
-            let mut entries: Vec<Entry<T>> = std::mem::take(&mut self.slots)
-                .into_iter()
-                .flatten()
-                .collect();
-            entries.append(&mut self.pending);
-            self.pack_entries(entries);
+            let mut points = FlatMatrix::new(self.dim);
+            let mut data = Vec::with_capacity(self.len);
+            for e in self.iter() {
+                points.push_row(e.point);
+                data.push(e.data);
+            }
+            self.pack_entries(&points, &data);
         }
     }
 
@@ -125,19 +139,24 @@ impl<T> RTree<T> {
         self.pending.is_empty() && self.tombstones == 0
     }
 
-    fn pack_entries(&mut self, entries: Vec<Entry<T>>) {
-        self.len = entries.len();
+    /// Replaces the whole tree by an STR packing of `points` (row `i`
+    /// carrying `data[i]`).
+    fn pack_entries(&mut self, points: &FlatMatrix, data: &[T]) {
+        let n = data.len();
+        self.len = n;
         self.nodes.clear();
-        self.slots = Vec::with_capacity(entries.len());
+        self.coords = FlatMatrix::new(self.dim);
+        self.slots = Vec::with_capacity(n);
         self.tombstones = 0;
+        self.pending_coords = FlatMatrix::new(self.dim);
         self.pending.clear();
-        if entries.is_empty() {
+        if n == 0 {
             return;
         }
         // Smallest height whose capacity max^h covers every entry.
         let mut height = 1usize;
         let mut cap = self.max_entries;
-        while cap < entries.len() {
+        while cap < n {
             cap *= self.max_entries;
             height += 1;
         }
@@ -148,40 +167,55 @@ impl<T> RTree<T> {
             end: 0,
             leaf: true,
         });
-        self.str_fill(0, entries, height);
+        let overflow = "R-tree arena index overflow";
+        let mut order: Vec<u32> = (0..u32::try_from(n).expect(overflow)).collect();
+        self.str_fill(0, points, data, &mut order, height);
     }
 
-    /// Sort-Tile-Recursive packing of `items` into node `idx` at an explicit
-    /// target height: sort along the widest-spread axis, cut into
-    /// `ceil(n / max^(height-1))` even runs, and recurse per run. Even cuts
-    /// keep every node at least half full and every leaf at the same depth
-    /// (see DESIGN.md §9).
-    fn str_fill(&mut self, idx: usize, mut items: Vec<Entry<T>>, height: usize) {
+    /// Sort-Tile-Recursive packing of the points `items` (row ids into
+    /// `points`) into node `idx` at an explicit target height: sort along
+    /// the widest-spread axis, cut into `ceil(n / max^(height-1))` even
+    /// runs, and recurse per run. Even cuts keep every node at least half
+    /// full and every leaf at the same depth (see DESIGN.md §9). The sort
+    /// is stable, so equal coordinates keep their input order.
+    fn str_fill(
+        &mut self,
+        idx: usize,
+        points: &FlatMatrix,
+        data: &[T],
+        items: &mut [u32],
+        height: usize,
+    ) {
         let mut bbox = BoundingBox::empty(self.dim);
         let (start, end) = if height == 1 {
             debug_assert!(items.len() <= self.max_entries);
-            for e in &items {
-                bbox.merge_point(&e.point);
-            }
             let start = self.slots.len();
-            self.slots.extend(items.into_iter().map(Some));
+            for &i in items.iter() {
+                let point = points.row(i as usize);
+                bbox.merge_point(point);
+                self.coords.push_row(point);
+                self.slots.push(Some(data[i as usize]));
+            }
             (start, self.slots.len())
         } else {
             let n = items.len();
             let children = n.div_ceil(self.max_entries.pow(height as u32 - 1));
             debug_assert!((2..=self.max_entries).contains(&children));
-            let axis = widest_axis(&items, self.dim);
-            items.sort_by(|a, b| a.point[axis].total_cmp(&b.point[axis]));
+            let axis = widest_axis(points, items);
+            items.sort_by(|&a, &b| {
+                points.row(a as usize)[axis].total_cmp(&points.row(b as usize)[axis])
+            });
             let start = self.nodes.len();
             // Node `idx` is still unfilled: clone it as the children's
             // placeholders.
             let unfilled = self.nodes[idx].clone();
             self.nodes.resize(start + children, unfilled);
-            let mut iter = items.into_iter();
+            let mut rest = items;
             for i in 0..children {
                 let take = n / children + usize::from(i < n % children);
-                let group = iter.by_ref().take(take).collect();
-                self.str_fill(start + i, group, height - 1);
+                let (group, tail) = rest.split_at_mut(take);
+                rest = tail;
+                self.str_fill(start + i, points, data, group, height - 1);
                 bbox.merge(&self.nodes[start + i].bbox);
             }
             (start, start + children)
@@ -243,13 +277,14 @@ impl<T> RTree<T> {
             + (self.slots.len() + self.pending.len()) * (self.dim * 8 + std::mem::size_of::<T>())
     }
 
-    /// Inserts a point with its payload into the pending run.
+    /// Inserts a copy of `point` with its payload into the pending run.
     ///
     /// # Panics
     /// Panics if the point's dimensionality does not match the tree's.
-    pub fn insert(&mut self, point: Vec<f64>, data: T) {
+    pub fn insert(&mut self, point: &[f64], data: T) {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.pending.push(Entry { point, data });
+        self.pending_coords.push_row(point);
+        self.pending.push(data);
         self.len += 1;
         self.compact_if_due();
     }
@@ -259,16 +294,20 @@ impl<T> RTree<T> {
     /// removed payload, or `None` if nothing matched.
     pub fn remove(&mut self, point: &[f64], pred: impl Fn(&T) -> bool) -> Option<T> {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        let hit = |e: &Entry<T>| e.point == point && pred(&e.data);
-        let removed = if let Some(i) = self.pending.iter().position(hit) {
-            self.pending.swap_remove(i).data
+        let pending = (0..self.pending.len())
+            .find(|&i| self.pending_coords.row(i) == point && pred(&self.pending[i]));
+        let removed = if let Some(i) = pending {
+            self.pending_coords.swap_remove_row(i);
+            self.pending.swap_remove(i)
         } else {
             let slot = self
                 .leaves(|b| b.contains_point(point))
                 .flatten()
-                .find(|&i| self.slots[i].as_ref().is_some_and(hit))?;
+                .find(|&i| {
+                    self.slots[i].as_ref().is_some_and(&pred) && self.coords.row(i) == point
+                })?;
             self.tombstones += 1;
-            self.slots[slot].take()?.data
+            self.slots[slot].take()?
         };
         self.len -= 1;
         self.compact_if_due();
@@ -283,7 +322,7 @@ impl<T> RTree<T> {
         enter: F,
     ) -> impl Iterator<Item = Range<usize>> + use<'s, T, F> {
         // The root is held outside the stack so that a single-leaf tree
-        // (every small ESE group) walks without allocating.
+        // walks without allocating.
         let mut root = (!self.nodes.is_empty()).then_some(0u32);
         let mut stack: Vec<u32> = Vec::new();
         std::iter::from_fn(move || loop {
@@ -299,37 +338,55 @@ impl<T> RTree<T> {
         })
     }
 
+    /// The live packed entries of a slot range.
+    fn live(&self, range: Range<usize>) -> impl Iterator<Item = Entry<'_, T>> {
+        range.filter_map(|i| {
+            self.slots[i].map(|data| Entry {
+                point: self.coords.row(i),
+                data,
+            })
+        })
+    }
+
+    /// The pending run, in insertion order.
+    fn pending_entries(&self) -> impl Iterator<Item = Entry<'_, T>> {
+        self.pending_coords
+            .iter_rows()
+            .zip(&self.pending)
+            .map(|(point, &data)| Entry { point, data })
+    }
+
     /// Visits every live entry whose point passes `keep`, packed leaves
     /// first (pruned by `enter`), then the pending run.
     fn visit_where<'a>(
         &'a self,
         enter: impl Fn(&BoundingBox) -> bool,
         keep: impl Fn(&[f64]) -> bool,
-        visit: &mut impl FnMut(&'a Entry<T>),
+        visit: &mut impl FnMut(Entry<'a, T>),
     ) {
         for range in self.leaves(enter) {
-            for e in self.slots[range].iter().flatten() {
-                if keep(&e.point) {
+            for e in self.live(range) {
+                if keep(e.point) {
                     visit(e);
                 }
             }
         }
-        for e in &self.pending {
-            if keep(&e.point) {
+        for e in self.pending_entries() {
+            if keep(e.point) {
                 visit(e);
             }
         }
     }
 
     /// Collects every entry whose point lies inside `window`.
-    pub fn search_box(&self, window: &BoundingBox) -> Vec<&Entry<T>> {
+    pub fn search_box(&self, window: &BoundingBox) -> Vec<Entry<'_, T>> {
         let mut out = Vec::new();
         self.visit_box(window, &mut |e| out.push(e));
         out
     }
 
     /// Visitor-style window query (no intermediate allocation).
-    pub fn visit_box<'a>(&'a self, window: &BoundingBox, visit: &mut impl FnMut(&'a Entry<T>)) {
+    pub fn visit_box<'a>(&'a self, window: &BoundingBox, visit: &mut impl FnMut(Entry<'a, T>)) {
         self.visit_where(
             |b| window.intersects(b),
             |p| window.contains_point(p),
@@ -339,14 +396,14 @@ impl<T> RTree<T> {
 
     /// Collects every entry inside the affected subspace described by
     /// `slab`, pruning subtrees whose MBR is provably sign-stable.
-    pub fn search_slab(&self, slab: &Slab) -> Vec<&Entry<T>> {
+    pub fn search_slab(&self, slab: &Slab) -> Vec<Entry<'_, T>> {
         let mut out = Vec::new();
         self.visit_slab(slab, &mut |e| out.push(e));
         out
     }
 
     /// Visitor-style affected-subspace query.
-    pub fn visit_slab<'a>(&'a self, slab: &Slab, visit: &mut impl FnMut(&'a Entry<T>)) {
+    pub fn visit_slab<'a>(&'a self, slab: &Slab, visit: &mut impl FnMut(Entry<'a, T>)) {
         self.visit_where(|b| !b.disjoint_from_slab(slab), |p| slab.contains(p), visit);
     }
 
@@ -357,7 +414,7 @@ impl<T> RTree<T> {
         &'a self,
         slab: &Slab,
         tol: f64,
-        visit: &mut impl FnMut(&'a Entry<T>),
+        visit: &mut impl FnMut(Entry<'a, T>),
     ) {
         self.visit_where(
             |b| !b.disjoint_from_slab_tol(slab, tol),
@@ -369,7 +426,7 @@ impl<T> RTree<T> {
     /// The `k` entries nearest to `q` by Euclidean distance, closest first.
     /// Returns fewer than `k` when the tree is smaller. The order among
     /// exactly equal distances is unspecified.
-    pub fn nearest_k(&self, q: &[f64], k: usize) -> Vec<(&Entry<T>, f64)> {
+    pub fn nearest_k(&self, q: &[f64], k: usize) -> Vec<(Entry<'_, T>, f64)> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         if k == 0 || self.is_empty() {
             return Vec::new();
@@ -377,7 +434,7 @@ impl<T> RTree<T> {
         // Best-first search over nodes and entries ordered by min distance.
         enum Item<'a, T> {
             Node(u32),
-            Entry(&'a Entry<T>),
+            Entry(Entry<'a, T>),
         }
         struct Pq<'a, T> {
             dist: f64,
@@ -401,14 +458,14 @@ impl<T> RTree<T> {
             }
         }
 
-        fn entry<'a, T>(q: &[f64], e: &'a Entry<T>) -> Pq<'a, T> {
+        fn entry<'a, T>(q: &[f64], e: Entry<'a, T>) -> Pq<'a, T> {
             Pq {
-                dist: iq_geometry::vector::dist_sq(q, &e.point),
+                dist: iq_geometry::vector::dist_sq(q, e.point),
                 item: Item::Entry(e),
             }
         }
 
-        let mut heap: BinaryHeap<Pq<'_, T>> = self.pending.iter().map(|e| entry(q, e)).collect();
+        let mut heap: BinaryHeap<Pq<'_, T>> = self.pending_entries().map(|e| entry(q, e)).collect();
         if !self.nodes.is_empty() {
             heap.push(Pq {
                 dist: 0.0,
@@ -427,8 +484,8 @@ impl<T> RTree<T> {
                 Item::Node(i) => {
                     let node = &self.nodes[i as usize];
                     if node.leaf {
-                        let live = self.slots[node.start as usize..node.end as usize].iter();
-                        heap.extend(live.flatten().map(|e| entry(q, e)));
+                        let range = node.start as usize..node.end as usize;
+                        heap.extend(self.live(range).map(|e| entry(q, e)));
                     } else {
                         for ci in node.start..node.end {
                             heap.push(Pq {
@@ -445,8 +502,8 @@ impl<T> RTree<T> {
 
     /// Iterates over every live entry: packed leaves in order, then the
     /// pending run.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry<T>> {
-        self.slots.iter().flatten().chain(&self.pending)
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_, T>> {
+        self.live(0..self.slots.len()).chain(self.pending_entries())
     }
 
     /// Structural invariant checks, used by tests: MBRs cover children,
@@ -456,7 +513,7 @@ impl<T> RTree<T> {
     pub fn check_invariants(&self) -> Result<(), String> {
         // Returns (slot count, actual bbox of live entries) so parents can
         // verify their stored MBR covers the contents.
-        fn rec<T>(
+        fn rec<T: Copy>(
             t: &RTree<T>,
             idx: usize,
             depth: usize,
@@ -479,11 +536,8 @@ impl<T> RTree<T> {
                     }
                     _ => *leaf_depth = Some(depth),
                 }
-                for e in t.slots[node.start as usize..node.end as usize]
-                    .iter()
-                    .flatten()
-                {
-                    actual.merge_point(&e.point);
+                for e in t.live(node.start as usize..node.end as usize) {
+                    actual.merge_point(e.point);
                 }
                 return Ok((n, actual));
             }
@@ -500,6 +554,11 @@ impl<T> RTree<T> {
                 actual.merge(&child);
             }
             Ok((total, actual))
+        }
+        if self.coords.rows() != self.slots.len()
+            || self.pending_coords.rows() != self.pending.len()
+        {
+            return Err("coordinate rows out of step with payloads".into());
         }
         if let Some(root) = self.nodes.first() {
             let (slots, actual) = rec(self, 0, 0, &mut None)?;
@@ -533,18 +592,20 @@ impl<T> RTree<T> {
     }
 }
 
-/// The axis with the largest coordinate spread (ties to the lowest axis).
-fn widest_axis<T>(items: &[Entry<T>], dim: usize) -> usize {
-    let mut b = BoundingBox::empty(dim);
-    for e in items {
-        b.merge_point(&e.point);
-    }
+/// The axis along which the points `items` (row ids into `points`) spread
+/// widest (ties to the lowest axis).
+fn widest_axis(points: &FlatMatrix, items: &[u32]) -> usize {
     let mut best = 0;
     let mut best_spread = f64::NEG_INFINITY;
-    for axis in 0..dim {
-        let spread = b.hi()[axis] - b.lo()[axis];
-        if spread > best_spread {
-            best_spread = spread;
+    for axis in 0..points.dim() {
+        let (lo, hi) = items
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &i| {
+                let x = points.row(i as usize)[axis];
+                (lo.min(x), hi.max(x))
+            });
+        if hi - lo > best_spread {
+            best_spread = hi - lo;
             best = axis;
         }
     }
@@ -584,7 +645,7 @@ mod tests {
         for i in 0..100 {
             let x = (i % 10) as f64;
             let y = (i / 10) as f64;
-            t.insert(vec![x, y], i);
+            t.insert(&[x, y], i);
         }
         assert_eq!(t.len(), 100);
         t.check_invariants().unwrap();
@@ -610,7 +671,7 @@ mod tests {
             .collect();
         let mut t = RTree::new(3);
         for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
+            t.insert(p, i);
         }
         t.check_invariants().unwrap();
         for trial in 0..20 {
@@ -638,7 +699,7 @@ mod tests {
             .collect();
         let mut t = RTree::new(2);
         for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
+            t.insert(p, i);
         }
         for trial in 0..20 {
             let p = Vector::from([rnd() * 2.0 - 1.0, rnd() * 2.0 - 1.0]);
@@ -666,7 +727,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..300).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
         let mut t = RTree::new(2);
         for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
+            t.insert(p, i);
         }
         for trial in 0..10 {
             let q = vec![rnd() * 10.0, rnd() * 10.0];
@@ -691,8 +752,8 @@ mod tests {
     #[test]
     fn knn_more_than_len() {
         let mut t = RTree::new(1);
-        t.insert(vec![1.0], "a");
-        t.insert(vec![2.0], "b");
+        t.insert(&[1.0], "a");
+        t.insert(&[2.0], "b");
         let got = t.nearest_k(&[0.0], 10);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0.data, "a");
@@ -704,7 +765,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
         let mut t = RTree::new(2);
         for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
+            t.insert(p, i);
         }
         // Remove every even-id point.
         for (i, p) in pts.iter().enumerate() {
@@ -726,7 +787,7 @@ mod tests {
     #[test]
     fn remove_missing_returns_none() {
         let mut t = RTree::new(2);
-        t.insert(vec![1.0, 1.0], 7);
+        t.insert(&[1.0, 1.0], 7);
         assert_eq!(t.remove(&[2.0, 2.0], |_| true), None);
         assert_eq!(t.remove(&[1.0, 1.0], |&d| d == 8), None);
         assert_eq!(t.len(), 1);
@@ -735,9 +796,9 @@ mod tests {
     #[test]
     fn duplicate_points_distinct_payloads() {
         let mut t = RTree::new(2);
-        t.insert(vec![1.0, 1.0], 1);
-        t.insert(vec![1.0, 1.0], 2);
-        t.insert(vec![1.0, 1.0], 3);
+        t.insert(&[1.0, 1.0], 1);
+        t.insert(&[1.0, 1.0], 2);
+        t.insert(&[1.0, 1.0], 3);
         let w = BoundingBox::point(&[1.0, 1.0]);
         assert_eq!(t.search_box(&w).len(), 3);
         assert_eq!(t.remove(&[1.0, 1.0], |&d| d == 2), Some(2));
@@ -748,7 +809,7 @@ mod tests {
     fn iter_yields_everything() {
         let mut t = RTree::new(2);
         for i in 0..150 {
-            t.insert(vec![i as f64, (i * 7 % 50) as f64], i);
+            t.insert(&[i as f64, (i * 7 % 50) as f64], i);
         }
         let mut ids: Vec<i32> = t.iter().map(|e| e.data).collect();
         ids.sort_unstable();
@@ -759,7 +820,7 @@ mod tests {
     fn height_grows_logarithmically() {
         let mut t = RTree::with_capacity(2, 4);
         for i in 0..256 {
-            t.insert(vec![(i % 16) as f64, (i / 16) as f64], i);
+            t.insert(&[(i % 16) as f64, (i / 16) as f64], i);
         }
         t.check_invariants().unwrap();
         assert!(t.height() >= 3, "expected multi-level tree");
@@ -771,7 +832,7 @@ mod tests {
         let mut t = RTree::new(3);
         let empty = t.size_bytes();
         for i in 0..100 {
-            t.insert(vec![i as f64, 0.0, 0.0], i);
+            t.insert(&[i as f64, 0.0, 0.0], i);
         }
         assert!(t.size_bytes() > empty);
     }
@@ -781,7 +842,7 @@ mod tests {
         for n in [0usize, 1, 5, 16, 17, 100, 257, 1000] {
             let mut rnd = lcg(n as u64 + 3);
             let pts: Vec<Vec<f64>> = (0..n).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
-            let t = RTree::bulk(2, pts.iter().cloned().zip(0..n));
+            let t = RTree::bulk(2, pts.iter().map(Vec::as_slice).zip(0..n));
             assert!(t.is_packed(), "n = {n}");
             assert_eq!(t.len(), n);
             t.check_invariants()
@@ -798,7 +859,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..500)
             .map(|_| vec![rnd() * 2.0 - 1.0, rnd() * 2.0 - 1.0])
             .collect();
-        let t = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+        let t = RTree::bulk(2, pts.iter().map(Vec::as_slice).zip(0..pts.len()));
         for trial in 0..20 {
             let lo = vec![rnd() * 1.6 - 1.0, rnd() * 1.6 - 1.0];
             let hi: Vec<f64> = lo.iter().map(|l| l + rnd() * 0.8).collect();
@@ -837,9 +898,9 @@ mod tests {
     fn pending_and_tombstones_compact_under_the_rule() {
         let mut rnd = lcg(23);
         let pts: Vec<Vec<f64>> = (0..200).map(|_| vec![rnd() * 10.0, rnd() * 10.0]).collect();
-        let mut t = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+        let mut t = RTree::bulk(2, pts.iter().map(Vec::as_slice).zip(0..pts.len()));
         // Below max(16, 200 / 4) = 50 the writes stay pending.
-        t.insert(vec![5.0, 5.0], 999);
+        t.insert(&[5.0, 5.0], 999);
         assert_eq!(t.remove(&pts[0], |&d| d == 0), Some(0));
         assert!(!t.is_packed());
         assert_eq!(t.len(), 200);
@@ -861,13 +922,13 @@ mod tests {
 
     #[test]
     fn bulk_empty_and_degenerate() {
-        let t: RTree<u32> = RTree::bulk(2, Vec::new());
+        let t: RTree<u32> = RTree::bulk(2, []);
         assert!(t.is_empty() && t.is_packed());
         assert_eq!(t.height(), 1);
         t.check_invariants().unwrap();
         assert!(t.nearest_k(&[0.0, 0.0], 3).is_empty());
         // Heavily duplicated points still pack into a valid tree.
-        let dup = RTree::bulk(2, (0..100).map(|i| (vec![1.0, 1.0], i)));
+        let dup = RTree::bulk(2, (0..100).map(|i| (&[1.0, 1.0][..], i)));
         dup.check_invariants().unwrap();
         assert_eq!(dup.search_box(&BoundingBox::point(&[1.0, 1.0])).len(), 100);
     }

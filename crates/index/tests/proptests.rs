@@ -1,9 +1,8 @@
 //! Property-based tests: the R-tree must behave exactly like a naive list of
-//! points under arbitrary insert/remove interleavings, and the grouped index
-//! like a naive per-group filter.
+//! points under arbitrary insert/remove interleavings.
 
 use iq_geometry::{BoundingBox, Hyperplane, Slab, Vector};
-use iq_index::{BloomFilter, GroupedQueryIndex, RTree};
+use iq_index::{BloomFilter, RTree};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -43,7 +42,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Insert(p) => {
-                    tree.insert(p.clone(), next_id);
+                    tree.insert(&p, next_id);
                     model.push((p, next_id));
                     next_id += 1;
                 }
@@ -79,7 +78,7 @@ proptest! {
                                q in point(3), k in 1usize..10) {
         let mut tree = RTree::new(3);
         for (i, p) in pts.iter().enumerate() {
-            tree.insert(p.clone(), i);
+            tree.insert(p, i);
         }
         let got = tree.nearest_k(&q, k);
         let mut dists: Vec<f64> = pts.iter().map(|p| iq_geometry::vector::dist(&q, p)).collect();
@@ -101,7 +100,7 @@ proptest! {
         };
         let mut tree = RTree::with_capacity(2, 4);
         for (i, q) in pts.iter().enumerate() {
-            tree.insert(q.clone(), i);
+            tree.insert(q, i);
         }
         let mut got: Vec<usize> = tree.search_slab(&slab).iter().map(|e| e.data).collect();
         got.sort_unstable();
@@ -113,35 +112,6 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn grouped_index_matches_model(
-        items in prop::collection::vec((0usize..4, point(2)), 1..100),
-        p in point(2), o in point(2), s in point(2),
-    ) {
-        let pv = Vector::new(p);
-        let ov = Vector::new(o);
-        let sv = Vector::new(s);
-        let Some(slab) = Slab::affected_subspace(&pv, &ov, &sv) else {
-            return Ok(());
-        };
-        let idx = GroupedQueryIndex::build(
-            2,
-            items.iter().enumerate().map(|(i, (g, q))| (*g, q.clone(), i)),
-        );
-        for g in 0..4 {
-            let mut got = idx.search_slab(g, &slab);
-            got.sort_unstable();
-            let mut want: Vec<usize> = items
-                .iter()
-                .enumerate()
-                .filter(|(_, (gg, q))| *gg == g && slab.contains(q))
-                .map(|(i, _)| i)
-                .collect();
-            want.sort_unstable();
-            prop_assert_eq!(got, want, "group {}", g);
-        }
     }
 
     #[test]
@@ -174,7 +144,7 @@ proptest! {
             return Ok(());
         };
         let pending = inserted(&pts);
-        let packed = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+        let packed = RTree::bulk(2, pts.iter().map(Vec::as_slice).zip(0..pts.len()));
         prop_assert!(packed.is_packed());
         let want_widened: BTreeSet<usize> = pts
             .iter()
@@ -219,14 +189,14 @@ proptest! {
             &Vector::new(slab.2),
         );
         let grown = inserted(&seed);
-        let packed = RTree::bulk(2, seed.iter().cloned().zip(0..seed.len()));
+        let packed = RTree::bulk(2, seed.iter().map(Vec::as_slice).zip(0..seed.len()));
         for mut tree in [grown, packed] {
             let mut model: Vec<(Vec<f64>, usize)> = seed.iter().cloned().zip(0..).collect();
             let mut next_id = seed.len();
             for op in &ops {
                 match op {
                     Op::Insert(p) => {
-                        tree.insert(p.clone(), next_id);
+                        tree.insert(p, next_id);
                         model.push((p.clone(), next_id));
                         next_id += 1;
                     }
@@ -277,7 +247,7 @@ proptest! {
 fn inserted(pts: &[Vec<f64>]) -> RTree<usize> {
     let mut tree = RTree::with_capacity(2, 4);
     for (i, p) in pts.iter().enumerate() {
-        tree.insert(p.clone(), i);
+        tree.insert(p, i);
     }
     tree
 }
@@ -299,7 +269,7 @@ fn slab_tol_strictly_wider_on_engineered_boundary_ties() {
     ];
     let pending = inserted(&pts);
     assert!(!pending.is_packed());
-    let packed = RTree::bulk(2, pts.iter().cloned().zip(0..pts.len()));
+    let packed = RTree::bulk(2, pts.iter().map(Vec::as_slice).zip(0..pts.len()));
     for (name, tree) in [("pending", &pending), ("packed", &packed)] {
         let mut plain = BTreeSet::new();
         tree.visit_slab(&slab, &mut |e| {

@@ -185,7 +185,7 @@ fn main() {
     handle.join();
 
     if let Some(path) = metrics_json {
-        let json = engine.metrics().to_json();
+        let json = iq_server::metrics::stats_json(&engine.stats());
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("failed writing {path}: {e}");
             std::process::exit(1);

@@ -14,10 +14,10 @@
 //!   engine keeps no history: nothing at runtime reads it.
 //!
 //! Cache discipline: writes never touch a cached [`Prepared`]. Every
-//! write — a failed one too, since it may have changed rows before its
-//! error — stamps the table it wrote with the next value of an
-//! engine-wide counter; a cache entry records the stamps of its object and
-//! query tables at which it was last current. An IMPROVE whose entry's
+//! write that succeeds stamps the table it wrote with the next value of an
+//! engine-wide counter (a failed write changes no row, so it stamps
+//! nothing); a cache entry records the stamps of its object and query
+//! tables at which it was last current. An IMPROVE whose entry's
 //! stamps match searches it under the shared lock. On a mismatch it takes
 //! the exclusive lock and reconciles the entry in place
 //! ([`Prepared::reconcile`]: moved and appended objects are spliced into
@@ -51,7 +51,7 @@ use iq_storage::{FsyncMode, Recovery, Storage, StorageConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Cache key: lowercased `(object_table, query_table)`.
 type CacheKey = (String, String);
@@ -81,8 +81,7 @@ struct EngineState {
     /// last write. A table with no write through this engine (recovered,
     /// or dropped) reads 0.
     stamps: HashMap<String, u64>,
-    /// Writes executed so far, failed ones included (they may have changed
-    /// rows before their error); the source of every stamp.
+    /// Writes committed so far; the source of every stamp.
     writes: u64,
     /// Durable storage, when the engine was opened with a data dir.
     storage: Option<Storage>,
@@ -250,7 +249,7 @@ impl Engine {
     /// was parsed from: a committed write appends it to the WAL.
     pub fn execute(&self, stmt: Statement, sql: &str) -> Result<Outcome, DbError> {
         match &stmt {
-            Statement::ShowStats => Ok(Outcome::Rows(self.metrics.stats_result())),
+            Statement::ShowStats => Ok(Outcome::Rows(self.stats())),
             // SHOW WAL is read-only but answered from the storage handle,
             // which a plain Session doesn't have — intercept it here.
             Statement::ShowWal => Ok(Outcome::Rows(self.show_wal())),
@@ -264,6 +263,15 @@ impl Engine {
             }
             _ => self.execute_write(sql, stmt),
         }
+    }
+
+    /// The `SHOW STATS` result: the metrics registry plus the storage
+    /// layer's WAL counters (0 without a data dir).
+    pub fn stats(&self) -> QueryResult {
+        // Counters stay readable even behind a poisoned lock.
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
+        self.metrics
+            .stats_result(st.storage.as_ref().map(Storage::stats))
     }
 
     /// The `SHOW WAL` result: storage-layer counters as `(metric, value)`
@@ -464,10 +472,8 @@ impl Engine {
                 .session
                 .table_mut(&imp.table)
                 .ok_or_else(|| DbError::UnknownTable(imp.table.clone()))?;
-            // Stamp even a failed write-back: it may have changed rows.
-            let applied = iqext::apply_deltas(objects, &deltas);
+            iqext::apply_deltas(objects, &deltas)?;
             st.note_write(&imp.table, deltas.len(), &self.metrics);
-            applied?;
             self.commit(st, sql)?;
             return Ok(Outcome::Rows(result));
         }
@@ -478,22 +484,18 @@ impl Engine {
             Statement::Drop { name } => st.session.table(name).map_or(0, |t| t.len()),
             _ => 0,
         };
-        let outcome = st.session.execute_parsed(stmt);
+        // A failed write changed no row: it is neither stamped nor logged.
+        let outcome = st.session.execute_parsed(stmt)?;
         if let Some(table) = touched {
-            // Stamp even a failed write: a multi-row INSERT or UPDATE may
-            // have changed rows before its error.
             let rows = match &outcome {
-                Ok(
-                    Outcome::Inserted(n)
-                    | Outcome::Copied(n)
-                    | Outcome::Updated(n)
-                    | Outcome::Deleted(n),
-                ) => *n,
+                Outcome::Inserted(n)
+                | Outcome::Copied(n)
+                | Outcome::Updated(n)
+                | Outcome::Deleted(n) => *n,
                 _ => dropped,
             };
             st.note_write(&table, rows, &self.metrics);
         }
-        let outcome = outcome?;
         self.commit(st, sql)?;
         Ok(outcome)
     }
@@ -509,11 +511,7 @@ impl Engine {
     /// the write itself is durable and the next write retries the rotation.
     fn commit(&self, st: &mut EngineState, sql: &str) -> Result<(), DbError> {
         if let Some(storage) = st.storage.as_mut() {
-            let synced = storage.append(sql).map_err(storage_err)?;
-            self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-            if synced {
-                self.metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
+            storage.append(sql).map_err(storage_err)?;
         }
         if st.storage.as_ref().is_some_and(Storage::should_checkpoint) {
             let _ = self.checkpoint_locked(st);
@@ -522,17 +520,15 @@ impl Engine {
     }
 
     /// Takes a checkpoint under the already-held write lock: serialize
-    /// table state through the shared `render` encoder, hand it to the
-    /// storage layer, count the event.
+    /// table state through the shared `render` encoder and hand it to the
+    /// storage layer, which counts the event.
     fn checkpoint_locked(
         &self,
         st: &mut EngineState,
     ) -> Result<iq_storage::CheckpointInfo, DbError> {
         let statements = iq_dbms::snapshot_sql(&st.session, SNAPSHOT_ROWS_PER_INSERT);
         let storage = st.storage.as_mut().expect("caller checked storage");
-        let info = storage.checkpoint(&statements).map_err(storage_err)?;
-        self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(info)
+        storage.checkpoint(&statements).map_err(storage_err)
     }
 }
 
@@ -573,11 +569,9 @@ fn assert_entry_is_current(p: &Prepared, objects: &iq_dbms::Table, queries: &iq_
     let same_objects = fresh.num_objects() == p.instance.num_objects()
         && (0..fresh.num_objects()).all(|i| bits(fresh.object(i)) == bits(p.instance.object(i)));
     let same_queries = fresh.num_queries() == p.instance.num_queries()
-        && fresh
-            .queries()
-            .iter()
-            .zip(p.instance.queries())
-            .all(|(a, b)| a.k == b.k && bits(&a.weights) == bits(&b.weights));
+        && (0..fresh.num_queries()).all(|q| {
+            fresh.k(q) == p.instance.k(q) && bits(fresh.weights(q)) == bits(p.instance.weights(q))
+        });
     assert!(
         same_objects && same_queries,
         "debug-invariants: cached instance differs from a fresh extraction"
@@ -713,17 +707,16 @@ mod tests {
     }
 
     #[test]
-    fn failed_write_that_changed_rows_is_reconciled() {
+    fn failed_write_changes_nothing() {
         let e = engine();
-        let before = e.execute_line(IMPROVE);
-        // The first row lands before the second fails its type check.
+        let before = (e.execute_line(IMPROVE), e.dump_tables());
+        // The first row is valid, the second fails its type check: neither
+        // lands, the entry stays current, the answer stays the same.
         let partial = "INSERT INTO objects VALUES (5, 0.05, 0.05), (6, 'x', 0.1)";
         assert!(e.execute_sql(partial).is_err());
-        let after = e.execute_line(IMPROVE);
-        assert_ne!(after, before, "the landed row must change the answer");
-        let fresh = engine();
-        assert!(fresh.execute_sql(partial).is_err());
-        assert_eq!(after, fresh.execute_line(IMPROVE));
+        assert_eq!((e.execute_line(IMPROVE), e.dump_tables()), before);
+        assert_eq!(count(&e, |m| &m.cache_hits), 1);
+        assert_eq!(count(&e, |m| &m.cache_reconciles), 0);
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //!
 //! See DESIGN.md §11 for the protocol grammar and lifecycle.
 
-// Timing is this crate's job: wall-clock constructors are unbanned here
-// (clippy.toml disallowed-methods; see iq-lint wallclock-in-core).
-#![allow(clippy::disallowed_methods)]
 pub mod client;
 pub mod engine;
 pub mod metrics;

@@ -14,6 +14,7 @@
 
 use iq_dbms::parser::Statement;
 use iq_dbms::{QueryResult, Value};
+use iq_storage::StorageStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -198,12 +199,6 @@ pub struct Metrics {
     /// Cache entries dropped: a reconcile needed a rebuild, a table was
     /// gone, or the write backlog passed the entry's query count.
     pub cache_invalidations: AtomicU64,
-    /// WAL records appended (durable commit path; 0 without `--data-dir`).
-    pub wal_appends: AtomicU64,
-    /// Fsyncs issued by the WAL (group commit makes this ≤ appends).
-    pub wal_fsyncs: AtomicU64,
-    /// Checkpoints taken (explicit `CHECKPOINT` plus auto-checkpoints).
-    pub checkpoints: AtomicU64,
     /// Statements replayed during startup recovery (snapshot + WAL tail).
     pub recovered_statements: AtomicU64,
     /// Bytes truncated from a torn WAL tail during recovery.
@@ -245,8 +240,10 @@ impl Metrics {
 
     /// The `SHOW STATS` result set: `(metric, value)` rows, integer
     /// values (latencies in µs). Per-kind rows appear only for kinds that
-    /// have been observed, so a fresh server reports a compact table.
-    pub fn stats_result(&self) -> QueryResult {
+    /// have been observed, so a fresh server reports a compact table. The
+    /// WAL rows (`wal_appends`, `wal_fsyncs`, `checkpoints`) come from
+    /// `storage`, the storage layer's own counters, and read 0 without it.
+    pub fn stats_result(&self, storage: Option<StorageStats>) -> QueryResult {
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut push = |name: String, v: u64| {
             rows.push(vec![Value::Text(name), Value::Int(v as i64)]);
@@ -300,15 +297,10 @@ impl Metrics {
             "cache_invalidations".into(),
             self.cache_invalidations.load(Ordering::Relaxed),
         );
-        push(
-            "wal_appends".into(),
-            self.wal_appends.load(Ordering::Relaxed),
-        );
-        push("wal_fsyncs".into(), self.wal_fsyncs.load(Ordering::Relaxed));
-        push(
-            "checkpoints".into(),
-            self.checkpoints.load(Ordering::Relaxed),
-        );
+        let wal = storage.map_or((0, 0, 0), |s| (s.wal_appends, s.wal_fsyncs, s.checkpoints));
+        push("wal_appends".into(), wal.0);
+        push("wal_fsyncs".into(), wal.1);
+        push("checkpoints".into(), wal.2);
         push(
             "recovered_statements".into(),
             self.recovered_statements.load(Ordering::Relaxed),
@@ -322,30 +314,29 @@ impl Metrics {
             rows,
         }
     }
+}
 
-    /// The full registry in the repo's BENCH JSON shape
-    /// (`{"benches":[{"name","value","unit"},…]}`), for `--metrics-json`.
-    pub fn to_json(&self) -> String {
-        let result = self.stats_result();
-        let mut out = String::from("{\n  \"benches\": [\n");
-        for (i, row) in result.rows.iter().enumerate() {
-            let (Value::Text(name), Value::Int(v)) = (&row[0], &row[1]) else {
-                unreachable!("stats_result rows are (Text, Int)");
-            };
-            let unit = if name.ends_with("_us") { "us" } else { "count" };
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{name}\", \"value\": {v}, \"unit\": \"{unit}\"}}"
-            );
-            out.push_str(if i + 1 < result.rows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+/// A `SHOW STATS` result in the repo's BENCH JSON shape
+/// (`{"benches":[{"name","value","unit"},…]}`), for `--metrics-json`.
+pub fn stats_json(result: &QueryResult) -> String {
+    let mut out = String::from("{\n  \"benches\": [\n");
+    for (i, row) in result.rows.iter().enumerate() {
+        let (Value::Text(name), Value::Int(v)) = (&row[0], &row[1]) else {
+            unreachable!("stats_result rows are (Text, Int)");
+        };
+        let unit = if name.ends_with("_us") { "us" } else { "count" };
+        let _ = write!(
+            out,
+            "    {{\"name\": \"{name}\", \"value\": {v}, \"unit\": \"{unit}\"}}"
+        );
+        out.push_str(if i + 1 < result.rows.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 #[cfg(test)]
@@ -390,7 +381,7 @@ mod tests {
         m.record(StatementKind::Select, false, 10);
         m.set_queue_depth(3);
         m.set_queue_depth(1);
-        let r = m.stats_result();
+        let r = m.stats_result(None);
         let get = |name: &str| {
             r.rows
                 .iter()
@@ -410,7 +401,7 @@ mod tests {
     fn json_dump_is_bench_shaped() {
         let m = Metrics::new();
         m.record(StatementKind::Improve, true, 1000);
-        let json = m.to_json();
+        let json = stats_json(&m.stats_result(None));
         assert!(json.starts_with("{\n  \"benches\": [\n"));
         assert!(json.contains("\"name\": \"improve_ok\", \"value\": 1, \"unit\": \"count\""));
         assert!(json.contains("\"unit\": \"us\""));

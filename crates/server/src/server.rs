@@ -38,6 +38,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The wall clock. This crate times requests, so it reads the clock, but
+/// only here: clippy.toml's other bans still hold in the rest of it.
+#[allow(clippy::disallowed_methods)]
+fn now() -> Instant {
+    Instant::now()
+}
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -194,7 +201,7 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
         let metrics = Arc::clone(&metrics);
         threads.push(std::thread::spawn(move || {
             while let Some(req) = queue.pop() {
-                if req.deadline.is_some_and(|d| Instant::now() > d) {
+                if req.deadline.is_some_and(|d| now() > d) {
                     metrics.timed_out.fetch_add(1, Ordering::Relaxed);
                     let _ = req.reply.send(protocol::timed_out_response());
                     continue;
@@ -203,7 +210,7 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
                     .stmt
                     .as_ref()
                     .map_or(StatementKind::Invalid, StatementKind::of);
-                let started = Instant::now();
+                let started = now();
                 let result = req.stmt.and_then(|stmt| engine.execute(stmt, &req.sql));
                 let response = protocol::response_line(result);
                 let micros = started.elapsed().as_micros() as u64;
@@ -303,7 +310,7 @@ fn serve_connection(
             return;
         }
 
-        let deadline = deadline_ms.or(default_deadline).map(|d| Instant::now() + d);
+        let deadline = deadline_ms.or(default_deadline).map(|d| now() + d);
         let (tx, rx) = mpsc::channel();
         let req = Request {
             stmt,

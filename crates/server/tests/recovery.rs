@@ -77,6 +77,21 @@ fn state_of(statements: &[String]) -> String {
     e.dump_tables()
 }
 
+/// One `SHOW STATS` row's value.
+fn stat(engine: &Engine, name: &str) -> i64 {
+    let Ok(iq_dbms::Outcome::Rows(r)) = engine.execute_sql("SHOW STATS") else {
+        panic!("SHOW STATS failed");
+    };
+    match r
+        .rows
+        .iter()
+        .find(|row| row[0] == iq_dbms::Value::Text(name.into()))
+    {
+        Some(row) => row[1].as_f64().expect("integer stat") as i64,
+        None => panic!("SHOW STATS has no {name}"),
+    }
+}
+
 fn seed_writes() -> Vec<String> {
     vec![
         "CREATE TABLE objects (id INT, a1 FLOAT, a2 FLOAT)".into(),
@@ -190,6 +205,30 @@ fn checkpoint_rotates_and_recovery_uses_the_snapshot() {
 }
 
 #[test]
+fn failed_write_is_neither_applied_nor_logged() {
+    let tmp = TempDir::new("failedwrite");
+    let seed = seed_writes();
+    let before = {
+        let (engine, _) = open_engine(tmp.path(), FsyncMode::Always, None);
+        for sql in &seed {
+            engine.execute_sql(sql).unwrap();
+        }
+        // The first row is valid, the second is not: neither lands.
+        let partial = "INSERT INTO objects VALUES (5, 0.05, 0.05), (6, 'x', 0.1)";
+        assert!(engine.execute_sql(partial).is_err());
+        // SHOW STATS reads the WAL counters from the storage layer.
+        assert_eq!(stat(&engine, "wal_appends"), seed.len() as i64);
+        assert_eq!(stat(&engine, "wal_fsyncs"), seed.len() as i64);
+        assert_eq!(stat(&engine, "checkpoints"), 0);
+        engine.dump_tables()
+    };
+    assert_eq!(before, state_of(&seed));
+    let (engine, recovery) = open_engine(tmp.path(), FsyncMode::Always, None);
+    assert_eq!(recovery.statements, seed);
+    assert_eq!(engine.dump_tables(), before);
+}
+
+#[test]
 fn auto_checkpoint_triggers_and_recovers() {
     let tmp = TempDir::new("autockpt");
     let before = {
@@ -198,10 +237,7 @@ fn auto_checkpoint_triggers_and_recovers() {
         for sql in &seed_writes() {
             engine.execute_sql(sql).unwrap();
         }
-        assert!(
-            engine.metrics().checkpoints.load(Ordering::Relaxed) >= 2,
-            "size trigger fired"
-        );
+        assert!(stat(&engine, "checkpoints") >= 2, "size trigger fired");
         engine.dump_tables()
     };
     let (engine, recovery) = open_engine(tmp.path(), FsyncMode::Always, Some(64));

@@ -227,9 +227,9 @@ pub struct StorageStats {
     pub wal_entries: u64,
     /// Current WAL file length in bytes (magic included).
     pub wal_bytes: u64,
-    /// Appends since open.
+    /// Appends since open, across checkpoints.
     pub wal_appends: u64,
-    /// Fsyncs issued on the current WAL since open/rotation.
+    /// Fsyncs those appends issued (group commit makes this ≤ appends).
     pub wal_fsyncs: u64,
     /// Checkpoints taken since open.
     pub checkpoints: u64,
@@ -243,6 +243,8 @@ pub struct Storage {
     config: StorageConfig,
     generation: u64,
     wal: wal::Wal,
+    appends: u64,
+    fsyncs: u64,
     checkpoints: u64,
 }
 
@@ -346,6 +348,8 @@ impl Storage {
             config,
             generation,
             wal,
+            appends: 0,
+            fsyncs: 0,
             checkpoints: 0,
         };
         let recovery = Recovery {
@@ -363,7 +367,10 @@ impl Storage {
     /// Appends one committed statement to the WAL (group-commit fsync per
     /// the configured mode). Returns whether this append fsynced.
     pub fn append(&mut self, statement: &str) -> Result<bool, StorageError> {
-        self.wal.append(statement)
+        let synced = self.wal.append(statement)?;
+        self.appends += 1;
+        self.fsyncs += u64::from(synced);
+        Ok(synced)
     }
 
     /// Whether the WAL has outgrown the auto-checkpoint threshold.
@@ -415,8 +422,8 @@ impl Storage {
             generation: self.generation,
             wal_entries: self.wal.entries,
             wal_bytes: self.wal.bytes,
-            wal_appends: self.wal.appends,
-            wal_fsyncs: self.wal.syncs,
+            wal_appends: self.appends,
+            wal_fsyncs: self.fsyncs,
             checkpoints: self.checkpoints,
         }
     }

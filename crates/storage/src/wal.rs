@@ -257,9 +257,6 @@ pub struct Wal {
     pub bytes: u64,
     /// Records currently in the file.
     pub entries: u64,
-    /// Appends since open (equals `entries` unless opened on an
-    /// existing log).
-    pub appends: u64,
     /// `fsync` calls issued.
     pub syncs: u64,
     pending: u64,
@@ -288,7 +285,6 @@ impl Wal {
             mode,
             bytes: MAGIC.len() as u64,
             entries: 0,
-            appends: 0,
             syncs: 1,
             pending: 0,
             last_sync: Instant::now(), // iq-lint: allow(wallclock-in-core, reason = "fsync batch deadline is I/O pacing, never data")
@@ -334,7 +330,6 @@ impl Wal {
             mode,
             bytes: replay.valid_len,
             entries: replay.entries.len() as u64,
-            appends: 0,
             syncs: 1,
             pending: 0,
             last_sync: Instant::now(), // iq-lint: allow(wallclock-in-core, reason = "fsync batch deadline is I/O pacing, never data")
@@ -364,7 +359,6 @@ impl Wal {
             .map_err(|e| StorageError::io(format!("append wal `{}`", self.path.display()), e))?;
         self.bytes += buf.len() as u64;
         self.entries += 1;
-        self.appends += 1;
         self.pending += 1;
         let should_sync = match self.mode {
             FsyncMode::Always => true,

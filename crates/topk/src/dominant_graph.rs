@@ -11,7 +11,8 @@
 //! releasing an object's children only once all of the object's parents
 //! have been reported — exactly the traversal of the original paper.
 
-use crate::naive::{rank_cmp, score};
+use crate::naive::rank_cmp;
+use iq_geometry::matrix::FlatMatrix;
 use std::collections::BinaryHeap;
 
 /// The dominance-graph index.
@@ -48,10 +49,10 @@ impl DominantGraph {
     /// dominance: the dominator's sum is strictly smaller) so each object is
     /// compared only against candidates that could possibly dominate it, and
     /// keeps only *direct* dominators (the transitive reduction).
-    pub fn build(objects: &[Vec<f64>]) -> Self {
-        let n = objects.len();
+    pub fn build(objects: &FlatMatrix) -> Self {
+        let n = objects.rows();
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let sums: Vec<f64> = objects.iter().map(|o| o.iter().sum()).collect();
+        let sums: Vec<f64> = objects.iter_rows().map(|o| o.iter().sum()).collect();
         order.sort_by(|&a, &b| {
             sums[a as usize]
                 .total_cmp(&sums[b as usize])
@@ -60,11 +61,11 @@ impl DominantGraph {
 
         let mut dominators: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (pos, &bi) in order.iter().enumerate() {
-            let b = &objects[bi as usize];
+            let b = objects.row(bi as usize);
             // Candidates: everything earlier in sum order.
             let mut direct: Vec<u32> = Vec::new();
             for &ai in order[..pos].iter() {
-                if dominates(&objects[ai as usize], b) {
+                if dominates(objects.row(ai as usize), b) {
                     direct.push(ai);
                 }
             }
@@ -74,9 +75,9 @@ impl DominantGraph {
                 .iter()
                 .copied()
                 .filter(|&a| {
-                    !direct
-                        .iter()
-                        .any(|&c| c != a && dominates(&objects[c as usize], &objects[a as usize]))
+                    !direct.iter().any(|&c| {
+                        c != a && dominates(objects.row(c as usize), objects.row(a as usize))
+                    })
                 })
                 .collect();
             dominators[bi as usize] = reduced;
@@ -132,7 +133,7 @@ impl DominantGraph {
     /// Only objects whose dominators have all been reported are score-
     /// evaluated, so the number of score computations is `O(k + frontier)`
     /// rather than `O(n)`.
-    pub fn top_k(&self, objects: &[Vec<f64>], weights: &[f64], k: usize) -> Vec<usize> {
+    pub fn top_k(&self, objects: &FlatMatrix, weights: &[f64], k: usize) -> Vec<usize> {
         #[derive(PartialEq)]
         struct Cand(f64, u32);
         impl Eq for Cand {}
@@ -152,7 +153,7 @@ impl DominantGraph {
         let mut remaining_parents = self.parent_count.clone();
         let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
         for &s in &self.sources {
-            heap.push(Cand(score(&objects[s as usize], weights), s));
+            heap.push(Cand(objects.dot_row(s as usize, weights), s));
         }
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
@@ -163,7 +164,7 @@ impl DominantGraph {
             for &c in &self.children[id as usize] {
                 remaining_parents[c as usize] -= 1;
                 if remaining_parents[c as usize] == 0 {
-                    heap.push(Cand(score(&objects[c as usize], weights), c));
+                    heap.push(Cand(objects.dot_row(c as usize, weights), c));
                 }
             }
         }
@@ -175,6 +176,10 @@ impl DominantGraph {
 mod tests {
     use super::*;
     use crate::naive;
+
+    fn flat(rows: Vec<Vec<f64>>) -> FlatMatrix {
+        FlatMatrix::from_rows(rows[0].len(), &rows)
+    }
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -197,7 +202,7 @@ mod tests {
     #[test]
     fn chain_graph() {
         // Total order by dominance: 0 ≺ 1 ≺ 2.
-        let objs = vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]];
+        let objs = flat(vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
         let dg = DominantGraph::build(&objs);
         assert_eq!(dg.num_sources(), 1);
         // Transitive reduction: exactly 2 edges (0→1, 1→2), not 3.
@@ -208,12 +213,12 @@ mod tests {
     #[test]
     fn antichain_graph() {
         // Anti-correlated points: nobody dominates anybody.
-        let objs = vec![
+        let objs = flat(vec![
             vec![1.0, 4.0],
             vec![2.0, 3.0],
             vec![3.0, 2.0],
             vec![4.0, 1.0],
-        ];
+        ]);
         let dg = DominantGraph::build(&objs);
         assert_eq!(dg.num_sources(), 4);
         assert_eq!(dg.num_edges(), 0);
@@ -227,14 +232,14 @@ mod tests {
         for trial in 0..5 {
             let n = 80 + trial * 30;
             let d = 2 + trial % 3;
-            let objs: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rnd()).collect()).collect();
+            let objs = flat((0..n).map(|_| (0..d).map(|_| rnd()).collect()).collect());
             let dg = DominantGraph::build(&objs);
             for _ in 0..10 {
                 let w: Vec<f64> = (0..d).map(|_| rnd()).collect();
                 for k in [1usize, 3, 10] {
                     assert_eq!(
                         dg.top_k(&objs, &w, k),
-                        naive::top_k(&objs, &w, k),
+                        naive::top_k(&objs, &w, k, &mut Vec::new()),
                         "trial {trial} k={k}"
                     );
                 }
@@ -246,12 +251,14 @@ mod tests {
     fn correlated_data_compresses_graph() {
         // Correlated data has long dominance chains → small source set.
         let mut rnd = lcg(7);
-        let objs: Vec<Vec<f64>> = (0..200)
-            .map(|_| {
-                let base = rnd();
-                vec![base + rnd() * 0.05, base + rnd() * 0.05]
-            })
-            .collect();
+        let objs = flat(
+            (0..200)
+                .map(|_| {
+                    let base = rnd();
+                    vec![base + rnd() * 0.05, base + rnd() * 0.05]
+                })
+                .collect(),
+        );
         let dg = DominantGraph::build(&objs);
         assert!(
             dg.num_sources() < 40,
@@ -262,17 +269,18 @@ mod tests {
 
     #[test]
     fn empty_and_k_zero() {
-        let dg = DominantGraph::build(&[]);
+        let empty = FlatMatrix::new(1);
+        let dg = DominantGraph::build(&empty);
         assert!(dg.is_empty());
-        assert!(dg.top_k(&[], &[1.0], 3).is_empty());
-        let objs = vec![vec![1.0]];
+        assert!(dg.top_k(&empty, &[1.0], 3).is_empty());
+        let objs = flat(vec![vec![1.0]]);
         let dg = DominantGraph::build(&objs);
         assert!(dg.top_k(&objs, &[1.0], 0).is_empty());
     }
 
     #[test]
     fn duplicate_objects_do_not_dominate_each_other() {
-        let objs = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
+        let objs = flat(vec![vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dg = DominantGraph::build(&objs);
         assert_eq!(dg.num_sources(), 2);
         assert_eq!(dg.top_k(&objs, &[1.0, 1.0], 2), vec![0, 1]);

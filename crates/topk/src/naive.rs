@@ -5,12 +5,10 @@
 //! paper): **lower score is better**, ties broken by smaller object id, so
 //! every ranking is a total order.
 //!
-//! Two evaluation layouts are supported with bit-identical results: the
-//! nested `&[Vec<f64>]` functions ([`top_k`], [`kth_best_excluding`]) and
-//! their `_flat` variants over [`iq_geometry::matrix::FlatMatrix`], which
-//! score through the batched kernels. [`top_k`] and [`top_k_flat`] funnel
-//! into the same selection routine ([`top_k_from_scores`]), so the choice
-//! of layout can never change a ranking.
+//! Objects are the rows of one [`iq_geometry::matrix::FlatMatrix`]; every
+//! function scores them through its kernels, whose sums are bit-identical
+//! to [`score`]. Each function is the one brute-force oracle for its
+//! question.
 
 use iq_geometry::matrix::FlatMatrix;
 use std::cmp::Ordering;
@@ -91,18 +89,10 @@ fn smallest_k(scores: impl Iterator<Item = f64>, k: usize) -> Vec<usize> {
     heap.into_sorted_vec().into_iter().map(|w| w.1).collect()
 }
 
-/// The ids of the `k` best objects for the query, best first.
-///
-/// Runs one pass with a bounded max-heap: `O(n log k)`.
-pub fn top_k(objects: &[Vec<f64>], weights: &[f64], k: usize) -> Vec<usize> {
-    let k = k.min(objects.len());
-    smallest_k(objects.iter().map(|o| score(o, weights)), k)
-}
-
-/// [`top_k`] over a flat matrix: scores every row through the batched
-/// kernel into `scratch`, then selects. Bit-identical to
-/// `top_k(&nested, weights, k)` for the same rows.
-pub fn top_k_flat(
+/// The ids of the `k` best objects for the query, best first: every row
+/// is scored through the batched kernel into `scratch`, then a bounded
+/// max-heap selects, in `O(n log k)`.
+pub fn top_k(
     objects: &FlatMatrix,
     weights: &[f64],
     k: usize,
@@ -120,60 +110,33 @@ pub fn top_k_from_scores(scores: &[f64], k: usize) -> Vec<usize> {
 }
 
 /// The full ranking of all objects for the query (best first).
-pub fn full_ranking(objects: &[Vec<f64>], weights: &[f64]) -> Vec<usize> {
-    let scores: Vec<f64> = objects.iter().map(|o| score(o, weights)).collect();
-    full_ranking_from_scores(&scores)
-}
-
-/// Ranks every id of a score slice, best first.
-pub fn full_ranking_from_scores(scores: &[f64]) -> Vec<usize> {
+pub fn full_ranking(objects: &FlatMatrix, weights: &[f64]) -> Vec<usize> {
+    let mut scores = Vec::new();
+    objects.scores_into(weights, &mut scores);
     let mut ids: Vec<usize> = (0..scores.len()).collect();
     ids.sort_by(|&a, &b| rank_cmp(scores[a], a, scores[b], b));
     ids
 }
 
 /// The 1-based rank of `target` under the query.
-pub fn rank_of(objects: &[Vec<f64>], weights: &[f64], target: usize) -> usize {
-    let ts = score(&objects[target], weights);
-    1 + objects
-        .iter()
-        .enumerate()
-        .filter(|&(i, o)| {
-            i != target && rank_cmp(score(o, weights), i, ts, target) == std::cmp::Ordering::Less
+pub fn rank_of(objects: &FlatMatrix, weights: &[f64], target: usize) -> usize {
+    let ts = objects.dot_row(target, weights);
+    1 + (0..objects.rows())
+        .filter(|&i| {
+            i != target && rank_cmp(objects.dot_row(i, weights), i, ts, target) == Ordering::Less
         })
         .count()
 }
 
-/// Whether `target` is in the query's top-k.
-pub fn hits(objects: &[Vec<f64>], query: &TopKQuery, target: usize) -> bool {
-    rank_of(objects, &query.weights, target) <= query.k
+/// Whether `target` is in the top-`k` of the query with these weights.
+pub fn hits(objects: &FlatMatrix, weights: &[f64], k: usize, target: usize) -> bool {
+    rank_of(objects, weights, target) <= k
 }
 
 /// The score of the `k`-th best object **excluding** `exclude` — the
 /// admission threshold an improved target must beat (cf. Eq. 6). Returns
 /// `(object id, score)`, or `None` when fewer than `k` other objects exist.
 pub fn kth_best_excluding(
-    objects: &[Vec<f64>],
-    weights: &[f64],
-    k: usize,
-    exclude: usize,
-) -> Option<(usize, f64)> {
-    let excluded = if exclude < objects.len() { 1 } else { 0 };
-    if objects.len() < k + excluded {
-        return None;
-    }
-    kth_of_stream(
-        objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (i, score(o, weights))),
-        k,
-        exclude,
-    )
-}
-
-/// [`kth_best_excluding`] over a flat matrix.
-pub fn kth_best_excluding_flat(
     objects: &FlatMatrix,
     weights: &[f64],
     k: usize,
@@ -215,21 +178,28 @@ fn kth_of_stream(
 mod tests {
     use super::*;
 
-    fn objs() -> Vec<Vec<f64>> {
-        vec![
-            vec![1.0, 5.0], // id 0
-            vec![2.0, 2.0], // id 1
-            vec![5.0, 1.0], // id 2
-            vec![3.0, 3.0], // id 3
-        ]
+    fn objs() -> FlatMatrix {
+        FlatMatrix::from_rows(
+            2,
+            &[
+                [1.0, 5.0], // id 0
+                [2.0, 2.0], // id 1
+                [5.0, 1.0], // id 2
+                [3.0, 3.0], // id 3
+            ],
+        )
+    }
+
+    fn top(o: &FlatMatrix, w: &[f64], k: usize) -> Vec<usize> {
+        top_k(o, w, k, &mut Vec::new())
     }
 
     #[test]
     fn top_k_basic() {
         // weights (1, 0): scores 1, 2, 5, 3 → top-2 = [0, 1].
-        assert_eq!(top_k(&objs(), &[1.0, 0.0], 2), vec![0, 1]);
+        assert_eq!(top(&objs(), &[1.0, 0.0], 2), vec![0, 1]);
         // weights (0, 1): scores 5, 2, 1, 3 → top-2 = [2, 1].
-        assert_eq!(top_k(&objs(), &[0.0, 1.0], 2), vec![2, 1]);
+        assert_eq!(top(&objs(), &[0.0, 1.0], 2), vec![2, 1]);
     }
 
     #[test]
@@ -237,8 +207,8 @@ mod tests {
         let o = objs();
         for w in [[0.3, 0.7], [0.9, 0.1], [0.5, 0.5]] {
             let full = full_ranking(&o, &w);
-            for k in 1..=o.len() {
-                assert_eq!(top_k(&o, &w, k), full[..k].to_vec());
+            for k in 1..=o.rows() {
+                assert_eq!(top(&o, &w, k), full[..k].to_vec());
             }
         }
     }
@@ -249,52 +219,35 @@ mod tests {
         // boundary, plus duplicates of the best score. The heap selection
         // must agree with full-sort truncation at every k — in particular
         // the id tie-breaks at the cut.
-        let o = vec![
-            vec![1.0], // id 0, tied middle
-            vec![0.5], // id 1, tied best
-            vec![1.0], // id 2
-            vec![0.5], // id 3
-            vec![1.0], // id 4
-            vec![2.0], // id 5, worst
-            vec![1.0], // id 6
-        ];
+        let o = FlatMatrix::from_rows(
+            1,
+            &[
+                [1.0], // id 0, tied middle
+                [0.5], // id 1, tied best
+                [1.0], // id 2
+                [0.5], // id 3
+                [1.0], // id 4
+                [2.0], // id 5, worst
+                [1.0], // id 6
+            ],
+        );
         let w = [1.0];
         let full = full_ranking(&o, &w);
         assert_eq!(full, vec![1, 3, 0, 2, 4, 6, 5]);
-        for k in 0..=o.len() + 2 {
-            assert_eq!(top_k(&o, &w, k), full[..k.min(o.len())].to_vec(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn flat_variants_bit_identical_to_nested() {
-        let o = objs();
-        let m = FlatMatrix::from_rows(2, &o);
-        let mut scratch = Vec::new();
-        for w in [[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]] {
-            for k in 0..=o.len() {
-                assert_eq!(top_k_flat(&m, &w, k, &mut scratch), top_k(&o, &w, k));
-            }
-            for t in 0..o.len() {
-                for k in 1..=o.len() {
-                    assert_eq!(
-                        kth_best_excluding_flat(&m, &w, k, t),
-                        kth_best_excluding(&o, &w, k, t)
-                    );
-                }
-            }
+        for k in 0..=o.rows() + 2 {
+            assert_eq!(top(&o, &w, k), full[..k.min(o.rows())].to_vec(), "k = {k}");
         }
     }
 
     #[test]
     fn k_larger_than_n() {
-        assert_eq!(top_k(&objs(), &[1.0, 1.0], 10).len(), 4);
+        assert_eq!(top(&objs(), &[1.0, 1.0], 10).len(), 4);
     }
 
     #[test]
     fn tie_broken_by_id() {
-        let o = vec![vec![1.0], vec![1.0], vec![0.5]];
-        assert_eq!(top_k(&o, &[1.0], 3), vec![2, 0, 1]);
+        let o = FlatMatrix::from_rows(1, &[[1.0], [1.0], [0.5]]);
+        assert_eq!(top(&o, &[1.0], 3), vec![2, 0, 1]);
         assert_eq!(rank_of(&o, &[1.0], 1), 3);
         assert_eq!(rank_of(&o, &[1.0], 0), 2);
     }
@@ -305,8 +258,8 @@ mod tests {
         let w = [1.0, 0.0];
         assert_eq!(rank_of(&o, &w, 0), 1);
         assert_eq!(rank_of(&o, &w, 2), 4);
-        assert!(hits(&o, &TopKQuery::new(w.to_vec(), 1), 0));
-        assert!(!hits(&o, &TopKQuery::new(w.to_vec(), 3), 2));
+        assert!(hits(&o, &w, 1, 0));
+        assert!(!hits(&o, &w, 3, 2));
     }
 
     #[test]

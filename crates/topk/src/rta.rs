@@ -12,7 +12,7 @@
 //! and the buffer refreshed. The skip test is one-sided, so the algorithm
 //! is exact — the buffer only saves work, never changes answers.
 
-use crate::naive::{rank_cmp, top_k_flat, TopKQuery};
+use crate::naive::{rank_cmp, top_k};
 use iq_geometry::matrix::FlatMatrix;
 
 /// Result of a reverse top-k evaluation, with work accounting.
@@ -24,35 +24,27 @@ pub struct RtaResult {
     pub full_evaluations: usize,
 }
 
-/// Runs RTA: returns the queries hit by `target` plus work statistics.
-///
-/// Thin wrapper over [`reverse_top_k_flat`]: materialises the nested rows
-/// into a [`FlatMatrix`] once (`O(n·d)`, dwarfed by even a single full
-/// evaluation) and evaluates through the batched kernels. Callers that
-/// keep a flat copy alive across calls should use the `_flat` entry point
-/// directly.
-pub fn reverse_top_k(objects: &[Vec<f64>], queries: &[TopKQuery], target: usize) -> RtaResult {
-    let dim = objects.first().map_or(0, |o| o.len());
-    let flat = FlatMatrix::from_rows(dim, objects);
-    reverse_top_k_flat(&flat, queries, target)
-}
-
-/// Runs RTA over a flat object matrix; the hot path of the `RTA-IQ`
-/// comparator. Full evaluations score through
-/// [`crate::naive::top_k_flat`] with one scratch buffer reused across all
-/// queries, so the steady state allocates only the candidate buffers.
-pub fn reverse_top_k_flat(objects: &FlatMatrix, queries: &[TopKQuery], target: usize) -> RtaResult {
+/// Runs RTA over the queries `(weights.row(q), ks[q])`: returns the
+/// queries hit by `target` plus work statistics. Full evaluations score
+/// through [`crate::naive::top_k`] with one scratch buffer reused across
+/// all queries, so the steady state allocates only the candidate buffers.
+pub fn reverse_top_k(
+    objects: &FlatMatrix,
+    weights: &FlatMatrix,
+    ks: &[usize],
+    target: usize,
+) -> RtaResult {
     // Process queries in lexicographic weight order so neighbours are
     // similar; remember the original index to report hits.
-    let mut order: Vec<usize> = (0..queries.len()).collect();
-    // Lexicographic Vec<f64> ordering; weights are finite by construction
+    let mut order: Vec<usize> = (0..weights.rows()).collect();
+    // Lexicographic slice ordering; weights are finite by construction
     // and the order only affects visit sequence, never the hit set
     // (clippy.toml disallowed-methods).
     #[allow(clippy::disallowed_methods)]
     order.sort_by(|&a, &b| {
-        queries[a]
-            .weights
-            .partial_cmp(&queries[b].weights)
+        weights
+            .row(a)
+            .partial_cmp(weights.row(b))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
@@ -62,19 +54,19 @@ pub fn reverse_top_k_flat(objects: &FlatMatrix, queries: &[TopKQuery], target: u
     let mut scratch: Vec<f64> = Vec::new();
 
     for &qi in &order {
-        let q = &queries[qi];
-        let t_score = objects.dot_row(target, &q.weights);
+        let (w, k) = (weights.row(qi), ks[qi]);
+        let t_score = objects.dot_row(target, w);
 
         // Threshold test against the buffered candidates.
         let better = buffer
             .iter()
             .filter(|&&b| {
                 b != target
-                    && rank_cmp(objects.dot_row(b, &q.weights), b, t_score, target)
+                    && rank_cmp(objects.dot_row(b, w), b, t_score, target)
                         == std::cmp::Ordering::Less
             })
             .count();
-        if better >= q.k {
+        if better >= k {
             continue; // certainly not in the top-k; skip full evaluation
         }
 
@@ -82,8 +74,8 @@ pub fn reverse_top_k_flat(objects: &FlatMatrix, queries: &[TopKQuery], target: u
         // One pass computes both the result and the refreshed buffer: the
         // buffer keeps one extra entry so near-misses of the next query can
         // still disqualify.
-        buffer = top_k_flat(objects, &q.weights, q.k + 1, &mut scratch);
-        if buffer[..q.k.min(buffer.len())].contains(&target) {
+        buffer = top_k(objects, w, k + 1, &mut scratch);
+        if buffer[..k.min(buffer.len())].contains(&target) {
             hits.push(qi);
         }
     }
@@ -94,20 +86,24 @@ pub fn reverse_top_k_flat(objects: &FlatMatrix, queries: &[TopKQuery], target: u
     }
 }
 
-/// Convenience: just the hit count `H(target)`.
-pub fn hit_count(objects: &[Vec<f64>], queries: &[TopKQuery], target: usize) -> usize {
-    reverse_top_k(objects, queries, target).hits.len()
-}
-
-/// [`hit_count`] over a flat object matrix.
-pub fn hit_count_flat(objects: &FlatMatrix, queries: &[TopKQuery], target: usize) -> usize {
-    reverse_top_k_flat(objects, queries, target).hits.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::TopKQuery;
     use crate::reverse::reverse_top_k_naive;
+
+    /// RTA and the naive oracle over nested test rows.
+    fn both(objects: &[Vec<f64>], queries: &[TopKQuery], target: usize) -> (RtaResult, Vec<usize>) {
+        let dim = objects[0].len();
+        let objects = FlatMatrix::from_rows(dim, objects);
+        let weights: Vec<&[f64]> = queries.iter().map(|q| q.weights.as_slice()).collect();
+        let weights = FlatMatrix::from_rows(dim, &weights);
+        let ks: Vec<usize> = queries.iter().map(|q| q.k).collect();
+        (
+            reverse_top_k(&objects, &weights, &ks, target),
+            reverse_top_k_naive(&objects, &weights, &ks, target),
+        )
+    }
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -134,9 +130,8 @@ mod tests {
             TopKQuery::new(vec![0.7, 0.3], 3),
         ];
         for target in 0..objects.len() {
-            let got = reverse_top_k(&objects, &queries, target).hits;
-            let want = reverse_top_k_naive(&objects, &queries, target);
-            assert_eq!(got, want, "target {target}");
+            let (got, want) = both(&objects, &queries, target);
+            assert_eq!(got.hits, want, "target {target}");
         }
     }
 
@@ -148,8 +143,7 @@ mod tests {
             .map(|_| TopKQuery::new(vec![rnd(), rnd(), rnd()], 1 + (rnd() * 10.0) as usize))
             .collect();
         for target in [0usize, 17, 63] {
-            let got = reverse_top_k(&objects, &queries, target);
-            let want = reverse_top_k_naive(&objects, &queries, target);
+            let (got, want) = both(&objects, &queries, target);
             assert_eq!(got.hits, want, "target {target}");
         }
     }
@@ -167,7 +161,7 @@ mod tests {
                 TopKQuery::new(vec![t, 1.0 - t], 5)
             })
             .collect();
-        let res = reverse_top_k(&objects, &queries, 100);
+        let (res, _) = both(&objects, &queries, 100);
         assert!(res.hits.is_empty());
         assert!(
             res.full_evaluations < queries.len() / 2,
@@ -183,14 +177,14 @@ mod tests {
         let queries: Vec<TopKQuery> = (1..5)
             .map(|i| TopKQuery::new(vec![i as f64 * 0.1, 0.3], 1))
             .collect();
-        let res = reverse_top_k(&objects, &queries, 0);
+        let (res, _) = both(&objects, &queries, 0);
         assert_eq!(res.hits.len(), queries.len());
     }
 
     #[test]
     fn empty_queries() {
-        let objects = vec![vec![1.0]];
-        let res = reverse_top_k(&objects, &[], 0);
+        let objects = FlatMatrix::from_rows(1, &[[1.0]]);
+        let res = reverse_top_k(&objects, &FlatMatrix::new(1), &[], 0);
         assert!(res.hits.is_empty());
         assert_eq!(res.full_evaluations, 0);
     }

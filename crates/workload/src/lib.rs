@@ -93,9 +93,9 @@ mod tests {
         };
         let a = mk(7);
         let b = mk(7);
-        assert_eq!(a.objects(), b.objects());
+        assert_eq!(a.objects_flat(), b.objects_flat());
         let c = mk(8);
-        assert_ne!(a.objects(), c.objects());
+        assert_ne!(a.objects_flat(), c.objects_flat());
     }
 
     #[test]

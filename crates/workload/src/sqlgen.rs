@@ -68,11 +68,10 @@ pub fn seed_statements(
                 stmt.push_str(", ");
             }
             stmt.push('(');
-            let q = &instance.queries()[qi];
-            for &w in q.weights.as_slice() {
+            for &w in instance.weights(qi) {
                 let _ = write!(stmt, "{w}, ");
             }
-            let _ = write!(stmt, "{})", q.k);
+            let _ = write!(stmt, "{})", instance.k(qi));
         }
         out.push(stmt);
     }

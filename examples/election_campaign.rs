@@ -47,8 +47,9 @@ fn main() {
         .filter(|&q| {
             [0usize, 1].iter().any(|&t| {
                 improvement_queries::topk::naive::hits(
-                    instance.objects(),
-                    &instance.queries()[q],
+                    instance.objects_flat(),
+                    instance.weights(q),
+                    instance.k(q),
                     t,
                 )
             })

@@ -20,7 +20,12 @@ fn main() {
     let queries: Vec<TopKQuery> = (0..100)
         .map(|_| TopKQuery::new(vec![rng.gen(), rng.gen()], 1 + rng.gen_range(0..5)))
         .collect();
-    let instance = Instance::new(objects.clone(), queries.clone()).unwrap();
+    let instance = Instance::new(objects, queries).unwrap();
+    let (objects, weights, ks) = (
+        instance.objects_flat(),
+        instance.weights_flat(),
+        instance.ks(),
+    );
 
     // Our struggling product: fewest hits.
     let target = (0..instance.num_objects())
@@ -28,19 +33,19 @@ fn main() {
         .unwrap();
 
     // --- Reverse top-k (Vlachou et al.): who shortlists us today? ---
-    let hits = reverse_top_k_naive(&objects, &queries, target);
-    let rta_res = rta::reverse_top_k(&objects, &queries, target);
+    let hits = reverse_top_k_naive(objects, weights, ks, target);
+    let rta_res = rta::reverse_top_k(objects, weights, ks, target);
     assert_eq!(hits, rta_res.hits);
     println!(
         "reverse top-k:   object #{target} is shortlisted by {} of {} users \
          (RTA needed {} full evaluations)",
         hits.len(),
-        queries.len(),
+        ks.len(),
         rta_res.full_evaluations
     );
 
     // --- Reverse k-ranks (Zhang et al.): our most winnable users. ---
-    let nearest = reverse_k_ranks(&objects, &queries, target, 3);
+    let nearest = reverse_k_ranks(objects, weights, target, 3);
     println!("reverse 3-ranks: best ranks among users: {nearest:?}");
 
     // None of the above says what to CHANGE. The improvement query does:

@@ -56,11 +56,11 @@ fn linearized_iq_hits_verified_against_original_form() {
     )
     .unwrap();
 
-    let ks: Vec<usize> = wl.instance.queries().iter().map(|q| q.k).collect();
+    let ks = wl.instance.ks();
     let target = 5;
 
     // Baseline hit counts agree between the two spaces.
-    let direct = nonlinear_hits(&wl.form, &wl.raw_objects, &wl.raw_weights, &ks, target);
+    let direct = nonlinear_hits(&wl.form, &wl.raw_objects, &wl.raw_weights, ks, target);
     assert_eq!(wl.instance.hit_count_naive(target), direct);
 
     // Improve in the augmented space.
@@ -100,7 +100,7 @@ fn linearized_iq_hits_verified_against_original_form() {
         .collect();
     let manual: usize = aug_queries
         .iter()
-        .zip(&ks)
+        .zip(ks)
         .filter(|(aq, &k)| {
             let score = |o: &Vec<f64>| -> f64 { o.iter().zip(aq.iter()).map(|(a, b)| a * b).sum() };
             let ts = score(&aug_objects[target]);

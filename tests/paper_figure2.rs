@@ -5,7 +5,7 @@
 //! `3q1 + 5q2 = 0` and the new one `4q1 + 5q2 = 0`.
 
 use improvement_queries::core::EvalContext;
-use improvement_queries::geometry::{Slab, Vector};
+use improvement_queries::geometry::{FlatMatrix, Slab, Vector};
 use improvement_queries::prelude::*;
 use improvement_queries::topk::naive;
 
@@ -38,7 +38,7 @@ fn delta_after(q: &[f64; 2]) -> f64 {
 
 #[test]
 fn ranking_table_matches_figure() {
-    let objects = vec![P1.to_vec(), P2.to_vec()];
+    let objects = FlatMatrix::from_rows(2, &[P1, P2]);
     for (i, q) in queries().iter().enumerate() {
         let before = naive::full_ranking(&objects, q);
         let expected_before = if delta(q) < 0.0 {
@@ -49,7 +49,7 @@ fn ranking_table_matches_figure() {
         assert_eq!(before, expected_before, "query {} before", i + 1);
     }
     // Apply s to p1 and recheck.
-    let improved = vec![vec![P1[0] + S[0], P1[1] + S[1]], P2.to_vec()];
+    let improved = FlatMatrix::from_rows(2, &[[P1[0] + S[0], P1[1] + S[1]], P2]);
     for (i, q) in queries().iter().enumerate() {
         let after = naive::full_ranking(&improved, q);
         let expected_after = if delta_after(q) < 0.0 {

@@ -114,7 +114,7 @@ fn near_top_max_hit_scores_at_most_a_tenth_of_candidates() {
     let index = QueryIndex::build_with(&inst, &ExecPolicy::sequential());
     let mut hits = vec![0usize; inst.num_objects()];
     for q in 0..inst.num_queries() {
-        for &o in &index.toplist_of(q)[..inst.queries()[q].k] {
+        for &o in &index.toplist_of(q)[..inst.k(q)] {
             hits[o as usize] += 1;
         }
     }
