@@ -296,19 +296,26 @@ impl<'a> EvalContext<'a> {
         // unsound. Tracked only under debug-invariants.
         #[cfg(feature = "debug-invariants")]
         let mut visited = vec![false; self.instance.num_queries()];
+        // One slab buffer for every group: `visit_changes` runs per scored
+        // candidate, so it must not allocate per group.
+        let mut slab_buf = None;
         for g in &self.groups {
-            let o_attrs = Vector::from(self.instance.object(g.object as usize));
             // `None`: a degenerate boundary (the target coincides with the
             // threshold object before or after) — scan the whole group.
-            let slab = Slab::affected_subspace(p_eff, &o_attrs, s);
-            if let Some(slab) = &slab {
+            let slab = Slab::affected_subspace_in(
+                &mut slab_buf,
+                p_eff.as_slice(),
+                p_new.as_slice(),
+                self.instance.object(g.object as usize),
+            );
+            if let Some(slab) = slab {
                 if g.bbox.disjoint_from_slab_tol(slab, BOUNDARY_TOL) {
                     continue;
                 }
             }
             for &qi in &self.members[g.start as usize..g.end as usize] {
                 let qi = qi as usize;
-                if let Some(slab) = &slab {
+                if let Some(slab) = slab {
                     if !slab.contains_tol(wf.row(qi), BOUNDARY_TOL) {
                         continue;
                     }

@@ -2,7 +2,9 @@
 //! `required_rhs` and `reach_rhs` run once per query per candidate solve,
 //! so an allocation there multiplies by the whole workload. Building one
 //! evaluation context may allocate a few times per threshold group, never
-//! once per query: it reads the weight rows where they are stored.
+//! once per query: it reads the weight rows where they are stored. Scoring
+//! a candidate with `evaluate` allocates a fixed number of times, whatever
+//! the number of threshold groups: one slab buffer serves every group.
 //!
 //! A counting global allocator tallies allocations made on the calling
 //! thread only, so other tests running in parallel cannot disturb the
@@ -100,4 +102,29 @@ fn context_allocates_per_group_not_per_query() {
         "one context over {} queries in {groups} groups allocated {made} times",
         inst.num_queries()
     );
+}
+
+#[test]
+fn evaluate_allocates_a_constant_count_whatever_the_groups() {
+    let s = ImprovementStrategy::from([-0.05, -0.02, 0.0]);
+    let mut seen = Vec::new();
+    for m in [8, 2_000] {
+        let inst = instance(400, m, 3);
+        let index = QueryIndex::build_with(&inst, &ExecPolicy::sequential());
+        let ctx = EvalContext::new_with(&inst, &index, 7, &ExecPolicy::sequential());
+        let cursor = ctx.new_cursor();
+        let groups: std::collections::BTreeSet<usize> = (0..m)
+            .filter_map(|q| ctx.threshold(q).map(|(o, _)| o))
+            .collect();
+        let before = allocations();
+        let hits = ctx.evaluate(&cursor, &s);
+        seen.push((groups.len(), allocations() - before));
+        assert!(hits <= m);
+    }
+    let (few, many) = (seen[0], seen[1]);
+    assert!(many.0 >= 3 * few.0, "group counts {seen:?}");
+    // The improved target, the slab's two normals, and under
+    // debug-invariants the visit witness.
+    assert_eq!(few.1, many.1, "(groups, allocations) {seen:?}");
+    assert!(many.1 <= 4, "(groups, allocations) {seen:?}");
 }

@@ -1,7 +1,7 @@
 //! Query execution: predicate evaluation and SELECT.
 
 use crate::parser::{Aggregate, CompareOp, Predicate, SelectItem, SelectStmt};
-use crate::table::Table;
+use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::DbError;
 use std::cmp::Ordering;
@@ -26,45 +26,119 @@ impl QueryResult {
 /// Evaluates a predicate against one row. Comparisons involving NULL are
 /// false (SQL three-valued logic collapsed to two, documented behaviour).
 pub fn eval_predicate(pred: &Predicate, table: &Table, row: &[Value]) -> Result<bool, DbError> {
-    match pred {
-        Predicate::Compare { column, op, value } => {
-            let idx = table
-                .schema
-                .index_of(column)
-                .ok_or_else(|| DbError::UnknownColumn(column.clone()))?;
-            let Some(ord) = row[idx].compare(value) else {
-                return Ok(false);
-            };
-            Ok(match op {
-                CompareOp::Eq => ord == Ordering::Equal,
-                CompareOp::Ne => ord != Ordering::Equal,
-                CompareOp::Lt => ord == Ordering::Less,
-                CompareOp::Le => ord != Ordering::Greater,
-                CompareOp::Gt => ord == Ordering::Greater,
-                CompareOp::Ge => ord != Ordering::Less,
-            })
-        }
-        Predicate::And(a, b) => {
-            Ok(eval_predicate(a, table, row)? && eval_predicate(b, table, row)?)
-        }
-        Predicate::Or(a, b) => Ok(eval_predicate(a, table, row)? || eval_predicate(b, table, row)?),
-        Predicate::Not(a) => Ok(!eval_predicate(a, table, row)?),
-    }
+    Bound::new(pred, &table.schema).eval(row)
 }
 
-/// Row indices matching a predicate (all rows when `None`).
+/// Row indices matching a predicate (all rows when `None`), ascending.
+///
+/// A predicate that is a `column = literal` comparison, or an AND chain
+/// holding one, over columns that all resolve, reads its candidate rows
+/// from that column's equality index ([`Table::eq_candidates`]) and
+/// re-checks each; any other predicate scans every row. Both paths answer
+/// alike: rows, order and errors.
 pub fn matching_rows(table: &Table, pred: Option<&Predicate>) -> Result<Vec<usize>, DbError> {
+    let Some(pred) = pred else {
+        return Ok((0..table.len()).collect());
+    };
+    let bound = Bound::new(pred, &table.schema);
     let mut out = Vec::new();
-    for (i, row) in table.rows().iter().enumerate() {
-        let keep = match pred {
-            None => true,
-            Some(p) => eval_predicate(p, table, row)?,
-        };
-        if keep {
-            out.push(i);
+    let mut keep = |r: usize| -> Result<(), DbError> {
+        if bound.eval(table.row(r))? {
+            out.push(r);
         }
+        Ok(())
+    };
+    // Resolved columns make every evaluation infallible, so skipping the
+    // rows the index rules out cannot skip an error.
+    match bound.eq_conjunct().filter(|_| bound.resolved()) {
+        Some((col, value)) => table.eq_candidates(col, value).try_for_each(&mut keep)?,
+        None => (0..table.len()).try_for_each(&mut keep)?,
     }
     Ok(out)
+}
+
+/// A predicate with its columns looked up once per statement. A column the
+/// schema lacks is `None` and errors only when an evaluation reaches it, as
+/// a per-row lookup would: on an empty table, or behind a short-circuited
+/// AND/OR, it never does.
+enum Bound<'p> {
+    Compare {
+        col: Option<usize>,
+        name: &'p str,
+        op: CompareOp,
+        value: &'p Value,
+    },
+    And(Box<Bound<'p>>, Box<Bound<'p>>),
+    Or(Box<Bound<'p>>, Box<Bound<'p>>),
+    Not(Box<Bound<'p>>),
+}
+
+impl<'p> Bound<'p> {
+    fn new(pred: &'p Predicate, schema: &Schema) -> Self {
+        let bind = |p: &'p Predicate| Box::new(Bound::new(p, schema));
+        match pred {
+            Predicate::Compare { column, op, value } => Bound::Compare {
+                col: schema.index_of(column),
+                name: column,
+                op: *op,
+                value,
+            },
+            Predicate::And(a, b) => Bound::And(bind(a), bind(b)),
+            Predicate::Or(a, b) => Bound::Or(bind(a), bind(b)),
+            Predicate::Not(a) => Bound::Not(bind(a)),
+        }
+    }
+
+    fn eval(&self, row: &[Value]) -> Result<bool, DbError> {
+        match self {
+            Bound::Compare {
+                col,
+                name,
+                op,
+                value,
+            } => {
+                let idx = col.ok_or_else(|| DbError::UnknownColumn(name.to_string()))?;
+                let Some(ord) = row[idx].compare(value) else {
+                    return Ok(false);
+                };
+                Ok(match op {
+                    CompareOp::Eq => ord == Ordering::Equal,
+                    CompareOp::Ne => ord != Ordering::Equal,
+                    CompareOp::Lt => ord == Ordering::Less,
+                    CompareOp::Le => ord != Ordering::Greater,
+                    CompareOp::Gt => ord == Ordering::Greater,
+                    CompareOp::Ge => ord != Ordering::Less,
+                })
+            }
+            Bound::And(a, b) => Ok(a.eval(row)? && b.eval(row)?),
+            Bound::Or(a, b) => Ok(a.eval(row)? || b.eval(row)?),
+            Bound::Not(a) => Ok(!a.eval(row)?),
+        }
+    }
+
+    /// True when every column resolves.
+    fn resolved(&self) -> bool {
+        match self {
+            Bound::Compare { col, .. } => col.is_some(),
+            Bound::And(a, b) | Bound::Or(a, b) => a.resolved() && b.resolved(),
+            Bound::Not(a) => a.resolved(),
+        }
+    }
+
+    /// The first `column = literal` comparison reached through ANDs alone:
+    /// every row the predicate accepts satisfies it.
+    fn eq_conjunct(&self) -> Option<(usize, &'p Value)> {
+        match self {
+            Bound::Compare {
+                col: Some(col),
+                op: CompareOp::Eq,
+                value,
+                ..
+            } => Some((*col, *value)),
+            Bound::And(a, b) => a.eq_conjunct().or_else(|| b.eq_conjunct()),
+            _ => None,
+        }
+    }
 }
 
 /// Executes a SELECT against a table.

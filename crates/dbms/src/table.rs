@@ -2,6 +2,7 @@
 
 use crate::value::{ColumnType, Value};
 use crate::DbError;
+use std::sync::OnceLock;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,14 +72,22 @@ pub struct Table {
     /// The table schema.
     pub schema: Schema,
     rows: Vec<Vec<Value>>,
+    /// One equality index per column: the row numbers of the cells that
+    /// have an [`eq_key`], sorted by `(key, row)` (see [`order`]); 4 B per
+    /// row, as the keys are read from the cells. A column's index is built
+    /// the first time a predicate probes it (through `&self`, so concurrent
+    /// readers may build it), and every writer keeps a built one current.
+    eq_index: Vec<OnceLock<Vec<u32>>>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: Schema) -> Self {
+        let eq_index = (0..schema.len()).map(|_| OnceLock::new()).collect();
         Table {
             schema,
             rows: Vec::new(),
+            eq_index,
         }
     }
 
@@ -133,9 +142,7 @@ impl Table {
 
     /// Inserts a row after arity and type checks.
     pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
-        self.check_row(&row)?;
-        self.push(row);
-        Ok(())
+        self.insert_all(vec![row]).map(|_| ())
     }
 
     /// Inserts rows all or none: every row is checked before the first
@@ -144,48 +151,153 @@ impl Table {
         for row in &rows {
             self.check_row(row)?;
         }
-        let n = rows.len();
+        let (from, n) = (self.rows.len(), rows.len());
         for row in rows {
-            self.push(row);
+            // Store INTs written to FLOAT columns as FLOATs.
+            let row = row
+                .into_iter()
+                .zip(self.schema.columns())
+                .map(|(v, c)| coerce(v, c.ty))
+                .collect();
+            self.rows.push(row);
+        }
+        let rows = &self.rows;
+        for (col, index) in self.eq_index.iter_mut().enumerate() {
+            let Some(index) = index.get_mut() else {
+                continue;
+            };
+            let fresh = keyed(rows, col, from);
+            if n == 1 {
+                fresh.for_each(|r| index_insert(index, rows, col, r));
+            } else {
+                index.extend(fresh);
+                index.sort_unstable_by_key(|&r| order(rows, col, r));
+            }
         }
         Ok(n)
     }
 
-    /// Appends a checked row, storing INTs written to FLOAT columns as
-    /// FLOATs.
-    fn push(&mut self, row: Vec<Value>) {
-        let row = row
-            .into_iter()
-            .zip(self.schema.columns())
-            .map(|(v, c)| coerce(v, c.ty))
-            .collect();
-        self.rows.push(row);
-    }
-
-    /// Removes every row whose index is in `victims` (sorted or not),
-    /// preserving the order of the remaining rows. Returns how many were
-    /// removed.
+    /// Removes every row whose index is in `victims` (sorted or not,
+    /// repeats and out-of-range indices ignored), preserving the order of
+    /// the remaining rows. Returns how many were removed.
     pub fn remove_rows(&mut self, victims: &[usize]) -> usize {
         if victims.is_empty() {
             return 0;
         }
-        let dead: std::collections::HashSet<usize> = victims.iter().copied().collect();
+        let mut dead = victims.to_vec();
+        dead.sort_unstable();
+        dead.dedup();
         let before = self.rows.len();
+        // One merge pass: the next victim is the only one to compare with.
+        let mut next = dead.iter().copied().peekable();
         let mut i = 0;
         self.rows.retain(|_| {
-            let keep = !dead.contains(&i);
+            let kill = next.next_if_eq(&i).is_some();
             i += 1;
-            keep
+            !kill
         });
+        // Survivors keep their cells and their order, so renumbering them
+        // keeps each built index sorted.
+        for index in self.eq_index.iter_mut().filter_map(OnceLock::get_mut) {
+            index.retain_mut(|r| {
+                let row = *r as usize;
+                let below = dead.partition_point(|&v| v < row);
+                if dead.get(below) == Some(&row) {
+                    return false;
+                }
+                *r = row_id(row - below);
+                true
+            });
+        }
         before - self.rows.len()
     }
 
     /// Overwrites one cell (used by UPDATE and IMPROVE's APPLY mode).
     pub fn update_cell(&mut self, row: usize, col: usize, value: Value) -> Result<(), DbError> {
         self.check_cell(col, &value)?;
-        self.rows[row][col] = coerce(value, self.schema.columns()[col].ty);
+        let value = coerce(value, self.schema.columns()[col].ty);
+        let (r, rekey) = (row_id(row), eq_key(&self.rows[row][col]) != eq_key(&value));
+        let mut index = self.eq_index[col].get_mut().filter(|_| rekey);
+        if let Some(index) = &mut index {
+            // The row leaves while its old cell still places it.
+            let at = index
+                .binary_search_by(|&x| order(&self.rows, col, x).cmp(&order(&self.rows, col, r)));
+            if let Ok(at) = at {
+                index.remove(at);
+            }
+        }
+        self.rows[row][col] = value;
+        if let Some(index) = index.filter(|_| eq_key(&self.rows[row][col]).is_some()) {
+            index_insert(index, &self.rows, col, r);
+        }
         Ok(())
     }
+
+    /// The rows, ascending, whose cell in column `col` may equal `value`
+    /// under [`Value::compare`]: a superset of the equal ones, which the
+    /// caller re-checks. Builds the column's equality index on first use.
+    pub fn eq_candidates(&self, col: usize, value: &Value) -> impl Iterator<Item = usize> + '_ {
+        let rows = &self.rows;
+        let index = self.eq_index[col].get_or_init(|| {
+            let mut index = Vec::with_capacity(rows.len());
+            index.extend(keyed(rows, col, 0));
+            index.sort_unstable_by_key(|&r| order(rows, col, r));
+            index
+        });
+        let hits: &[u32] = match eq_key(value) {
+            Some(k) => {
+                let lo = index.partition_point(|&r| order(rows, col, r).0 < k);
+                let len = index[lo..].partition_point(|&r| order(rows, col, r).0 == k);
+                &index[lo..lo + len]
+            }
+            None => &[],
+        };
+        hits.iter().map(|&r| r as usize)
+    }
+}
+
+/// The equality-index key of a cell or literal: values that
+/// [`Value::compare`] calls equal share a key. Numerics key on their `f64`
+/// bits after `+ 0.0`, so `-0.0` meets `0.0` and an INT meets the FLOAT it
+/// converts to; TEXT keys on an FNV-1a hash. NULL and NaN equal nothing
+/// and get no key. Unequal values may share a key: the index only
+/// nominates rows.
+fn eq_key(value: &Value) -> Option<u64> {
+    match value {
+        Value::Null => None,
+        Value::Bool(b) => Some(u64::from(*b)),
+        Value::Text(s) => Some(s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })),
+        Value::Int(_) | Value::Float(_) => {
+            let x = value.as_f64()?;
+            (!x.is_nan()).then(|| (x + 0.0).to_bits())
+        }
+    }
+}
+
+/// A row number as the equality index stores it.
+fn row_id(row: usize) -> u32 {
+    u32::try_from(row).expect("a table holds fewer than 2^32 rows")
+}
+
+/// Rows `from..` whose cell in column `col` has a key: the ones it indexes.
+fn keyed(rows: &[Vec<Value>], col: usize, from: usize) -> impl Iterator<Item = u32> + '_ {
+    (from..rows.len())
+        .filter(move |&r| eq_key(&rows[r][col]).is_some())
+        .map(row_id)
+}
+
+/// Where row `r` sorts in column `col`'s equality index: by its cell's
+/// key, then by row number. Every indexed row has a key.
+fn order(rows: &[Vec<Value>], col: usize, r: u32) -> (u64, u32) {
+    (eq_key(&rows[r as usize][col]).unwrap_or(0), r)
+}
+
+/// Inserts row `r`, whose cell has a key, into column `col`'s index.
+fn index_insert(index: &mut Vec<u32>, rows: &[Vec<Value>], col: usize, r: u32) {
+    let at = index.partition_point(|&x| order(rows, col, x) < order(rows, col, r));
+    index.insert(at, r);
 }
 
 /// Stores an INT written to a FLOAT column as a FLOAT.

@@ -141,10 +141,40 @@ impl Slab {
     /// ties everywhere, which the ranking layer resolves by object id rather
     /// than geometry.
     pub fn affected_subspace(p: &Vector, o: &Vector, s: &Vector) -> Option<Slab> {
-        let before = Hyperplane::object_intersection(p, o)?;
-        let p_after = p + s;
-        let after = Hyperplane::object_intersection(&p_after, o)?;
-        Some(Slab { before, after })
+        let mut buf = None;
+        Slab::affected_subspace_in(&mut buf, p.as_slice(), (p + s).as_slice(), o.as_slice())?;
+        buf
+    }
+
+    /// [`Slab::affected_subspace`] for a known `p_after = p + s`, built in
+    /// `buf` so a caller scanning many opponents allocates the normals once.
+    /// The normals are `p − o` and `p_after − o`, subtracted in the same
+    /// order, so the slab is bit-identical; `None` where that is `None`.
+    pub fn affected_subspace_in<'b>(
+        buf: &'b mut Option<Slab>,
+        p: &[f64],
+        p_after: &[f64],
+        o: &[f64],
+    ) -> Option<&'b Slab> {
+        let slab = buf.get_or_insert_with(|| {
+            let plane = || Hyperplane {
+                normal: Vector::zeros(o.len()),
+                offset: 0.0,
+            };
+            Slab {
+                before: plane(),
+                after: plane(),
+            }
+        });
+        for (plane, a) in [(&mut slab.before, p), (&mut slab.after, p_after)] {
+            for (i, (x, y)) in a.iter().zip(o).enumerate() {
+                plane.normal[i] = x - y;
+            }
+            if plane.normal.is_zero(0.0) {
+                return None;
+            }
+        }
+        Some(slab)
     }
 
     /// Builds a slab directly from two boundary hyperplanes.

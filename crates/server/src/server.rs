@@ -339,16 +339,20 @@ fn serve_connection(
 /// A byte-accumulating line reader that tolerates read timeouts:
 /// `BufReader::read_line` can hand back partial lines on timeout, so this
 /// keeps its own buffer and only yields complete `\n`-terminated lines.
-struct LineReader {
-    stream: TcpStream,
+struct LineReader<R> {
+    stream: R,
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no `\n`, so each
+    /// read searches only the bytes it appended.
+    scanned: usize,
 }
 
-impl LineReader {
-    fn new(stream: TcpStream) -> Self {
+impl<R: Read> LineReader<R> {
+    fn new(stream: R) -> Self {
         LineReader {
             stream,
             buf: Vec::new(),
+            scanned: 0,
         }
     }
 
@@ -357,10 +361,16 @@ impl LineReader {
     /// finished, so an in-flight request is never truncated).
     fn read_line(&mut self, shutdown: &AtomicBool) -> Option<String> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return Some(String::from_utf8_lossy(&line).into_owned());
+            if let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let rest = self.buf.split_off(self.scanned + at + 1);
+                let line = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
+                return Some(
+                    String::from_utf8(line)
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+                );
             }
+            self.scanned = self.buf.len();
             if shutdown.load(Ordering::SeqCst) && self.buf.is_empty() {
                 return None;
             }
@@ -434,5 +444,38 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(waiter.join().unwrap(), "blocked pop must observe close");
+    }
+
+    /// Hands out fixed chunks, one per `read`, then EOF; an empty chunk
+    /// reads as a timeout tick.
+    struct Chunks(VecDeque<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(c) if c.is_empty() => Err(ErrorKind::WouldBlock.into()),
+                Some(c) => {
+                    out[..c.len()].copy_from_slice(&c);
+                    Ok(c.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_joins_split_lines_and_splits_joined_ones() {
+        let long = format!("INSERT INTO q VALUES {}", "(0.5, 1), ".repeat(300));
+        let mut chunks: VecDeque<Vec<u8>> = long.as_bytes().chunks(7).map(<[u8]>::to_vec).collect();
+        chunks.insert(3, Vec::new());
+        chunks.push_back(b"\nSELECT 1\nSHOW ".to_vec());
+        chunks.push_back(b"STATS\npartial".to_vec());
+        let mut reader = LineReader::new(Chunks(chunks));
+        let idle = AtomicBool::new(false);
+        assert_eq!(reader.read_line(&idle), Some(format!("{long}\n")));
+        assert_eq!(reader.read_line(&idle).as_deref(), Some("SELECT 1\n"));
+        assert_eq!(reader.read_line(&idle).as_deref(), Some("SHOW STATS\n"));
+        // EOF mid-line yields nothing.
+        assert_eq!(reader.read_line(&idle), None);
     }
 }
