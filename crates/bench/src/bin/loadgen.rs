@@ -37,10 +37,11 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The wall clock. This program times what it runs, so it reads the
-/// clock, but only here: clippy.toml's other bans still hold in the rest
-/// of it.
-#[allow(clippy::disallowed_methods)]
+/// The wall clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this program times what it runs, so it reads the clock, but only here"
+)]
 fn now() -> Instant {
     Instant::now()
 }

@@ -433,7 +433,10 @@ mod tests {
     }
 
     /// The nested copy equals the rows after every kind of write.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the nested copy's own coherence test reads the copy"
+    )]
     fn assert_copy_coherent(inst: &Instance) {
         assert_eq!(inst.objects().len(), inst.num_objects());
         assert_eq!(inst.queries().len(), inst.num_queries());

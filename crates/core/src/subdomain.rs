@@ -438,7 +438,7 @@ mod tests {
         let sig_idx = QueryIndex::build(&inst);
         let (_, partition) = QueryIndex::build_bsp(&inst);
         for cell in &partition.subdomains {
-            let sig_ids: std::collections::HashSet<usize> = cell
+            let sig_ids: std::collections::BTreeSet<usize> = cell
                 .queries
                 .iter()
                 .map(|&q| sig_idx.subdomain_of(q))

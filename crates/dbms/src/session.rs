@@ -7,7 +7,7 @@ use crate::parser::{parse, ImproveStmt, Statement};
 use crate::table::{Column, Schema, Table};
 use crate::DbError;
 use iq_core::SearchOptions;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The outcome of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,7 @@ pub enum Outcome {
 /// An in-memory database session.
 #[derive(Debug, Default)]
 pub struct Session {
-    tables: HashMap<String, Table>,
+    tables: BTreeMap<String, Table>,
 }
 
 impl Session {
@@ -50,9 +50,7 @@ impl Session {
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
+        self.tables.keys().map(String::as_str).collect()
     }
 
     /// A table by name.

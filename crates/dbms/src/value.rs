@@ -75,10 +75,11 @@ impl Value {
 
     /// SQL comparison: NULL compares with nothing (returns `None`);
     /// numerics compare across INT/FLOAT; other types compare within kind.
-    // SQL semantics: NULL (and NaN) are incomparable, so the Option from
-    // partial_cmp is the contract here, not a hazard to unwrap
-    // (clippy.toml disallowed-methods).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SQL semantics: NULL (and NaN) are incomparable, so the Option from \
+                  partial_cmp is the contract here, not a hazard to unwrap"
+    )]
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,

@@ -51,25 +51,37 @@ impl Expr {
     }
 
     /// `self + rhs`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder named after the node it builds"
+    )]
     pub fn add(self, rhs: Expr) -> Expr {
         Expr::Add(Box::new(self), Box::new(rhs))
     }
 
     /// `self - rhs`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder named after the node it builds"
+    )]
     pub fn sub(self, rhs: Expr) -> Expr {
         Expr::Sub(Box::new(self), Box::new(rhs))
     }
 
     /// `self * rhs`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder named after the node it builds"
+    )]
     pub fn mul(self, rhs: Expr) -> Expr {
         Expr::Mul(Box::new(self), Box::new(rhs))
     }
 
     /// `self / rhs`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder named after the node it builds"
+    )]
     pub fn div(self, rhs: Expr) -> Expr {
         Expr::Div(Box::new(self), Box::new(rhs))
     }
@@ -85,7 +97,10 @@ impl Expr {
     }
 
     /// `-self`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder named after the node it builds"
+    )]
     pub fn neg(self) -> Expr {
         Expr::Neg(Box::new(self))
     }

@@ -305,7 +305,7 @@ fn fold_product(factors: Vec<Expr>, constant: f64) -> Expr {
     for f in it {
         acc = acc.mul(f);
     }
-    // iq-lint: allow(raw-score-cmp, reason = "exact multiplicative-identity test on a folded constant")
+    // exact-float: exact multiplicative-identity test on a folded constant
     if constant == 1.0 {
         acc
     } else {

@@ -271,7 +271,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             let at = self.here();
             match self.bump() {
-                // iq-lint: allow(raw-score-cmp, reason = "integer-valuedness test on a parsed exponent literal")
+                // exact-float: integer-valuedness test on a parsed exponent literal
                 Some(Tok::Num(v)) if v.fract() == 0.0 && v >= 0.0 && v <= u32::MAX as f64 => {
                     Ok(base.pow(v as u32))
                 }

@@ -14,8 +14,6 @@
 //! `boundaries` — plus its full side signature for exact membership tests
 //! during incremental updates (§4.3).
 
-use std::collections::HashMap;
-
 use crate::hyperplane::{Hyperplane, Side};
 
 /// One cell of the partition, holding the queries that fall inside it.
@@ -154,49 +152,11 @@ impl Partition {
     /// currently empty (no indexed query shares it).
     pub fn locate(&self, q: &[f64]) -> Option<usize> {
         let sig = signature_of(q, &self.hyperplanes);
-        // A HashMap over signatures would be faster for repeated lookups;
-        // Partition keeps one lazily in `SignatureIndex` below for callers
-        // that need it. Linear scan is fine for the sizes BSP is used at.
+        // A linear scan is fine for the sizes BSP is used at.
         self.subdomains
             .iter()
             .find(|sd| sd.signature == sig)
             .map(|sd| sd.id)
-    }
-
-    /// Builds a hash index over signatures for repeated [`Partition::locate`]-style
-    /// lookups.
-    pub fn signature_index(&self) -> SignatureIndex<'_> {
-        let mut map = HashMap::with_capacity(self.subdomains.len());
-        for sd in &self.subdomains {
-            map.insert(encode_signature(&sd.signature), sd.id);
-        }
-        SignatureIndex {
-            partition: self,
-            map,
-        }
-    }
-}
-
-fn encode_signature(sig: &[Side]) -> Vec<u8> {
-    sig.iter()
-        .map(|s| match s {
-            Side::Above => 1u8,
-            Side::Below => 0u8,
-        })
-        .collect()
-}
-
-/// Hash index over subdomain signatures for O(|I|) point location.
-pub struct SignatureIndex<'a> {
-    partition: &'a Partition,
-    map: HashMap<Vec<u8>, usize>,
-}
-
-impl SignatureIndex<'_> {
-    /// Locates the subdomain containing `q`, if any matches.
-    pub fn locate(&self, q: &[f64]) -> Option<usize> {
-        let sig = signature_of(q, &self.partition.hyperplanes);
-        self.map.get(&encode_signature(&sig)).copied()
     }
 }
 
@@ -240,7 +200,7 @@ mod tests {
         let p = find_subdomains(&hs, &queries);
         assert_eq!(p.len(), 4);
         assert_eq!(p.assignment[0], p.assignment[4]);
-        let distinct: std::collections::HashSet<_> = p.assignment.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = p.assignment.iter().collect();
         assert_eq!(distinct.len(), 4);
     }
 
@@ -312,14 +272,12 @@ mod tests {
         let hs = vec![hp(&[1.0, 0.0], 0.0), hp(&[0.0, 1.0], 0.0)];
         let queries = vec![vec![1.0, 1.0], vec![-1.0, -1.0]];
         let p = find_subdomains(&hs, &queries);
-        let idx = p.signature_index();
         // A new point in the ++ quadrant locates to the first subdomain.
-        let found = idx.locate(&[3.0, 4.0]).unwrap();
+        let found = p.locate(&[3.0, 4.0]).unwrap();
         assert_eq!(found, p.assignment[0]);
         assert!(p.point_in_subdomain(&[3.0, 4.0], found));
         assert!(!p.point_in_subdomain(&[-3.0, 4.0], found));
         // A point in an unoccupied quadrant has no home.
-        assert!(idx.locate(&[-1.0, 1.0]).is_none());
         assert!(p.locate(&[-1.0, 1.0]).is_none());
         assert_eq!(p.locate(&[2.0, 2.0]), Some(p.assignment[0]));
     }

@@ -41,6 +41,15 @@
 //! caching shapes latency only. With `--features debug-invariants` every
 //! cached search first checks its entry against a fresh extraction.
 
+// panic-in-hot-path (DESIGN.md §13): a request must not panic the
+// serving or WAL code; each remaining site carries an `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::metrics::Metrics;
 use crate::protocol;
 use iq_core::{ExecPolicy, SearchOptions};
@@ -48,7 +57,7 @@ use iq_dbms::iqext::{self, Prepared};
 use iq_dbms::parser::{is_read_only, ImproveStmt, Statement};
 use iq_dbms::{parse, DbError, Outcome, QueryResult, Session, Value};
 use iq_storage::{FsyncMode, Recovery, Storage, StorageConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -76,11 +85,11 @@ struct Entry {
 
 struct EngineState {
     session: Session,
-    cache: HashMap<CacheKey, Entry>,
+    cache: BTreeMap<CacheKey, Entry>,
     /// Per lowercased table name: the value of `writes` at the table's
     /// last write. A table with no write through this engine (recovered,
     /// or dropped) reads 0.
-    stamps: HashMap<String, u64>,
+    stamps: BTreeMap<String, u64>,
     /// Writes committed so far; the source of every stamp.
     writes: u64,
     /// Durable storage, when the engine was opened with a data dir.
@@ -91,8 +100,8 @@ impl EngineState {
     fn new(session: Session, storage: Option<Storage>) -> Self {
         EngineState {
             session,
-            cache: HashMap::new(),
-            stamps: HashMap::new(),
+            cache: BTreeMap::new(),
+            stamps: BTreeMap::new(),
             writes: 0,
             storage,
         }
@@ -258,6 +267,10 @@ impl Engine {
             )),
             Statement::Improve(imp) if !imp.apply => self.improve_read(imp),
             _ if is_read_only(&stmt) => {
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "a poisoned engine lock must not serve requests"
+                )]
                 let st = self.state.read().unwrap();
                 st.session.execute_read(&stmt)
             }
@@ -278,6 +291,10 @@ impl Engine {
     /// rows. Works without `--data-dir` too (`wal_enabled` = 0) so probes
     /// don't have to know how the server was started.
     fn show_wal(&self) -> QueryResult {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned engine lock must not serve requests"
+        )]
         let st = self.state.read().unwrap();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut push = |name: &str, v: Value| rows.push(vec![Value::Text(name.into()), v]);
@@ -316,11 +333,19 @@ impl Engine {
     /// Renders every table as aligned text, in name order — a cheap state
     /// fingerprint for the serializability tests.
     pub fn dump_tables(&self) -> String {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned engine lock must not serve requests"
+        )]
         let st = self.state.read().unwrap();
         let mut out = String::new();
         for name in st.session.table_names() {
             out.push_str(name);
             out.push('\n');
+            #[expect(
+                clippy::unwrap_used,
+                reason = "the name comes from `table_names` under the same lock"
+            )]
             let table = st.session.table(name).unwrap();
             let result = iq_dbms::QueryResult {
                 columns: table
@@ -346,6 +371,10 @@ impl Engine {
         let mut refreshes = 0;
         let mut gave_up = false;
         loop {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "a poisoned engine lock must not serve requests"
+            )]
             let st = self.state.read().unwrap();
             let cached = st.current(&key);
             if cached.is_some() || gave_up {
@@ -356,6 +385,10 @@ impl Engine {
             }
             drop(st);
             refreshes += 1;
+            #[expect(
+                clippy::unwrap_used,
+                reason = "a poisoned engine lock must not serve requests"
+            )]
             let prepared = self.refresh(&mut self.state.write().unwrap(), imp, &key);
             gave_up = !prepared || refreshes == REFRESH_ATTEMPTS;
         }
@@ -443,6 +476,10 @@ impl Engine {
 
     /// A write: exclusive lock, execute, maintain the cache, commit.
     fn execute_write(&self, sql: &str, stmt: Statement) -> Result<Outcome, DbError> {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned engine lock must not serve requests"
+        )]
         let mut st = self.state.write().unwrap();
         let st = &mut *st;
 
@@ -527,6 +564,10 @@ impl Engine {
         st: &mut EngineState,
     ) -> Result<iq_storage::CheckpointInfo, DbError> {
         let statements = iq_dbms::snapshot_sql(&st.session, SNAPSHOT_ROWS_PER_INSERT);
+        #[expect(
+            clippy::expect_used,
+            reason = "every caller checks that the engine has storage"
+        )]
         let storage = st.storage.as_mut().expect("caller checked storage");
         storage.checkpoint(&statements).map_err(storage_err)
     }
@@ -562,6 +603,10 @@ fn written_table(stmt: &Statement) -> Option<String> {
 /// fresh extraction of the tables gives, bit for bit, with an exact index.
 #[cfg(feature = "debug-invariants")]
 fn assert_entry_is_current(p: &Prepared, objects: &iq_dbms::Table, queries: &iq_dbms::Table) {
+    #[expect(
+        clippy::expect_used,
+        reason = "the debug-invariants sanitizer is opt-in and must abort on a stale entry"
+    )]
     let (fresh, attrs) = iqext::build_instance(objects, queries)
         .expect("debug-invariants: a cached entry's tables no longer extract");
     assert_eq!(attrs, p.attrs, "debug-invariants: stale attribute columns");
@@ -576,6 +621,10 @@ fn assert_entry_is_current(p: &Prepared, objects: &iq_dbms::Table, queries: &iq_
         same_objects && same_queries,
         "debug-invariants: cached instance differs from a fresh extraction"
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "the debug-invariants sanitizer is opt-in and must abort on an inexact index"
+    )]
     p.index
         .check_invariants(&p.instance)
         .expect("debug-invariants: cached index is not exact");

@@ -18,6 +18,15 @@
 //! (loadgen, tests) uses — hand-rolled against the known shapes, no JSON
 //! parser dependency.
 
+// panic-in-hot-path (DESIGN.md §13): a request must not panic the
+// serving or WAL code; each remaining site carries an `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use iq_dbms::{error_json, outcome_json, DbError, Outcome};
 use std::time::Duration;
 

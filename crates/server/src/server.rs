@@ -38,9 +38,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The wall clock. This crate times requests, so it reads the clock, but
-/// only here: clippy.toml's other bans still hold in the rest of it.
-#[allow(clippy::disallowed_methods)]
+/// The wall clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this crate times requests, so it reads the clock, but only here"
+)]
 fn now() -> Instant {
     Instant::now()
 }

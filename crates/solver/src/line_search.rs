@@ -49,11 +49,11 @@ pub fn bisect_root(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> Option
     assert!(lo <= hi, "bisect_root: inverted interval");
     let (mut a, mut b) = (lo, hi);
     let (mut fa, fb) = (f(a), f(b));
-    // iq-lint: allow(raw-score-cmp, reason = "exact root hit short-circuits the bisection")
+    // exact-float: an exact root hit short-circuits the bisection
     if fa == 0.0 {
         return Some(a);
     }
-    // iq-lint: allow(raw-score-cmp, reason = "exact root hit short-circuits the bisection")
+    // exact-float: an exact root hit short-circuits the bisection
     if fb == 0.0 {
         return Some(b);
     }
@@ -63,7 +63,7 @@ pub fn bisect_root(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> Option
     while (b - a) > tol {
         let m = 0.5 * (a + b);
         let fm = f(m);
-        // iq-lint: allow(raw-score-cmp, reason = "exact root hit short-circuits the bisection")
+        // exact-float: an exact root hit short-circuits the bisection
         if fm == 0.0 {
             return Some(m);
         }

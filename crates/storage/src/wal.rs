@@ -24,6 +24,15 @@
 //! by CRC, so the surviving log is always a *prefix* of commit order —
 //! never a subsequence with holes.
 
+// panic-in-hot-path (DESIGN.md §13): a request must not panic the
+// serving or WAL code; each remaining site carries an `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::crc32::crc32;
 use crate::{FsyncMode, StorageError};
 use std::fs::{File, OpenOptions};
@@ -130,10 +139,18 @@ pub fn decode_record(buf: &[u8], offset: usize) -> Decoded<'_> {
     if rest.len() < RECORD_HEADER {
         return Decoded::Damaged(Damage::TruncatedHeader { have: rest.len() });
     }
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a slice of the checked `RECORD_HEADER` bytes is 4 bytes long"
+    )]
     let len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     if len > MAX_RECORD {
         return Decoded::Damaged(Damage::OversizedLength { len });
     }
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a slice of the checked `RECORD_HEADER` bytes is 4 bytes long"
+    )]
     let stored = u32::from_le_bytes(rest[4..8].try_into().unwrap());
     let body = &rest[RECORD_HEADER..];
     if body.len() < len {
@@ -266,9 +283,10 @@ pub struct Wal {
 impl Wal {
     /// Creates a fresh, empty WAL at `path` (truncating any existing
     /// file), writes and syncs the magic.
-    // Wall-clock here is fsync batch pacing only — it never reaches data
-    // (clippy.toml disallowed-methods; iq-lint wallclock-in-core allow).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fsync batch deadline is I/O pacing, never data"
+    )]
     pub fn create(path: &Path, mode: FsyncMode) -> Result<Wal, StorageError> {
         let mut file = OpenOptions::new()
             .create(true)
@@ -287,7 +305,7 @@ impl Wal {
             entries: 0,
             syncs: 1,
             pending: 0,
-            last_sync: Instant::now(), // iq-lint: allow(wallclock-in-core, reason = "fsync batch deadline is I/O pacing, never data")
+            last_sync: Instant::now(),
         })
     }
 
@@ -295,9 +313,10 @@ impl Wal {
     /// tail is truncated at the last valid record boundary (per the
     /// torn-write policy); a missing or torn-before-magic file is
     /// (re)initialized empty. Returns the open log and the replay.
-    // Wall-clock here is fsync batch pacing only — it never reaches data
-    // (clippy.toml disallowed-methods; iq-lint wallclock-in-core allow).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fsync batch deadline is I/O pacing, never data"
+    )]
     pub fn open(path: &Path, mode: FsyncMode) -> Result<(Wal, WalReplay), StorageError> {
         if !path.exists() {
             let wal = Wal::create(path, mode)?;
@@ -332,7 +351,7 @@ impl Wal {
             entries: replay.entries.len() as u64,
             syncs: 1,
             pending: 0,
-            last_sync: Instant::now(), // iq-lint: allow(wallclock-in-core, reason = "fsync batch deadline is I/O pacing, never data")
+            last_sync: Instant::now(),
         };
         Ok((wal, replay))
     }
@@ -349,8 +368,11 @@ impl Wal {
         match decode_record(&buf, 0) {
             Decoded::Record { payload, next }
                 if payload == statement.as_bytes() && next == buf.len() => {}
+            #[expect(
+                clippy::panic,
+                reason = "the debug-invariants sanitizer is opt-in and must abort on corruption"
+            )]
             other => {
-                // iq-lint: allow(panic-in-hot-path, reason = "debug-invariants sanitizer is opt-in and must abort on corruption")
                 panic!("debug-invariants: encoded WAL record fails round-trip decode: {other:?}")
             }
         }
@@ -374,16 +396,17 @@ impl Wal {
     }
 
     /// Forces an fsync of everything appended so far.
-    // Wall-clock here is fsync batch pacing only — it never reaches data
-    // (clippy.toml disallowed-methods; iq-lint wallclock-in-core allow).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fsync batch deadline is I/O pacing, never data"
+    )]
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.file
             .sync_data()
             .map_err(|e| StorageError::io(format!("sync wal `{}`", self.path.display()), e))?;
         self.pending = 0;
         self.syncs += 1;
-        self.last_sync = Instant::now(); // iq-lint: allow(wallclock-in-core, reason = "fsync batch deadline is I/O pacing, never data")
+        self.last_sync = Instant::now();
         Ok(())
     }
 

@@ -38,10 +38,12 @@ pub fn score(object: &[f64], weights: &[f64]) -> f64 {
 }
 
 /// Compares two objects under a query: score ascending, id ascending.
-// The one blessed partial_cmp: NaN scores collapse to Equal (id breaks the
-// tie) instead of total_cmp's sign-dependent NaN ordering, and every ranking
-// in the workspace routes through here (clippy.toml disallowed-methods).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one blessed partial_cmp: NaN scores collapse to Equal (id breaks the \
+              tie) instead of total_cmp's sign-dependent NaN ordering, and every ranking \
+              in the workspace routes through here"
+)]
 #[inline]
 pub fn rank_cmp(a_score: f64, a_id: usize, b_score: f64, b_id: usize) -> std::cmp::Ordering {
     a_score

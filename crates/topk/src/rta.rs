@@ -37,10 +37,11 @@ pub fn reverse_top_k(
     // Process queries in lexicographic weight order so neighbours are
     // similar; remember the original index to report hits.
     let mut order: Vec<usize> = (0..weights.rows()).collect();
-    // Lexicographic slice ordering; weights are finite by construction
-    // and the order only affects visit sequence, never the hit set
-    // (clippy.toml disallowed-methods).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lexicographic slice order: weights are finite by construction, \
+                  and the order only affects visit sequence, never the hit set"
+    )]
     order.sort_by(|&a, &b| {
         weights
             .row(a)

@@ -202,7 +202,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let qs = queries(QueryDistribution::Uniform, 500, 2, K_RANGE, &mut rng);
         assert!(qs.iter().all(|q| (1..=50).contains(&q.k)));
-        let distinct: std::collections::HashSet<usize> = qs.iter().map(|q| q.k).collect();
+        let distinct: std::collections::BTreeSet<usize> = qs.iter().map(|q| q.k).collect();
         assert!(distinct.len() > 20, "k values suspiciously concentrated");
     }
 
