@@ -110,8 +110,11 @@ impl HitEvaluator for RtaEvaluator<'_> {
     }
 
     fn apply(&mut self, s: &ImprovementStrategy) {
-        self.objects.add_to_row(self.target, s.as_slice());
         self.applied += s;
+        // `p + applied`, as ESE computes it: adding each step into the row
+        // would round differently and drift from Efficient-IQ's strategies.
+        let effective = &Vector::from(self.instance.object(self.target)) + &self.applied;
+        self.objects.set_row(self.target, effective.as_slice());
         self.refresh_hits();
     }
 

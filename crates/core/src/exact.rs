@@ -1,12 +1,12 @@
-//! The exact "exhaustive search" option (§4.2.1/§4.2.2): optimal
-//! improvement strategies by branch-and-bound over query subsets, plus the
-//! budget binary-search reduction between the two query types.
+//! The exact "exhaustive search" option (§4.2.1): optimal improvement
+//! strategies by branch-and-bound over query subsets.
 //!
 //! Exact search is exponential (the problems are NP-hard, §4.2.1's
 //! set-cover reduction) and only feasible on small instances — the paper
 //! reports 4+ hours per query at its experiment scales. It exists here as
-//! ground truth: integration tests compare the greedy heuristics against
-//! these optima on instances small enough to finish.
+//! ground truth: `tests/distance_to_optimum.rs` measures how far the
+//! greedy searches land from these optima on instances small enough to
+//! finish, and holds them to floors.
 
 use crate::ese::{EvalContext, EvalCursor};
 use crate::model::{ImprovementStrategy, Instance};
@@ -82,36 +82,6 @@ pub fn exact_max_hit_iq(
     }
 }
 
-/// Exact Min-Cost via the §4.2.2 reduction: binary-search the smallest
-/// budget whose exact Max-Hit reaches `tau` hits. Returns the budget found
-/// and the final report; used to validate the reduction proof.
-pub fn exact_min_cost_via_max_hit(
-    instance: &Instance,
-    index: &QueryIndex,
-    target: usize,
-    tau: usize,
-    budget_hi: f64,
-    iterations: usize,
-) -> Option<(f64, ExactReport)> {
-    let top = exact_max_hit_iq(instance, index, target, budget_hi);
-    if top.hits_after < tau {
-        return None;
-    }
-    let (mut lo, mut hi) = (0.0f64, budget_hi);
-    let mut best = top;
-    for _ in 0..iterations {
-        let mid = 0.5 * (lo + hi);
-        let r = exact_max_hit_iq(instance, index, target, mid);
-        if r.hits_after >= tau {
-            hi = mid;
-            best = r;
-        } else {
-            lo = mid;
-        }
-    }
-    Some((hi, best))
-}
-
 fn fix_dim(s: Vector, dim: usize) -> Vector {
     if s.dim() == dim {
         s
@@ -123,9 +93,7 @@ fn fix_dim(s: Vector, dim: usize) -> Vector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{EuclideanCost, StrategyBounds};
     use crate::model::TopKQuery;
-    use crate::search::{min_cost_iq, SearchOptions};
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -162,38 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_never_beats_exact() {
-        // The heuristic's cost is lower-bounded by the optimum.
-        for seed in [1u64, 9, 23] {
-            let inst = small_instance(seed);
-            let idx = QueryIndex::build(&inst);
-            let target = 3;
-            let before = inst.hit_count_naive(target);
-            let tau = (before + 3).min(inst.num_queries());
-            let Some(exact) = exact_min_cost_iq(&inst, &idx, target, tau) else {
-                continue;
-            };
-            let greedy = min_cost_iq(
-                &inst,
-                &idx,
-                target,
-                tau,
-                &EuclideanCost,
-                &StrategyBounds::unbounded(2),
-                &SearchOptions::default(),
-            );
-            if greedy.achieved {
-                assert!(
-                    greedy.cost + 1e-6 >= exact.cost,
-                    "seed {seed}: greedy {} beat exact {}",
-                    greedy.cost,
-                    exact.cost
-                );
-            }
-        }
-    }
-
-    #[test]
     fn exact_max_hit_budget_zero_and_large() {
         let inst = small_instance(7);
         let idx = QueryIndex::build(&inst);
@@ -202,24 +138,6 @@ mod tests {
         assert_eq!(r0.hits_after, inst.hit_count_naive(target));
         let rbig = exact_max_hit_iq(&inst, &idx, target, 100.0);
         assert_eq!(rbig.hits_after, inst.num_queries());
-    }
-
-    #[test]
-    fn reduction_recovers_direct_min_cost() {
-        let inst = small_instance(13);
-        let idx = QueryIndex::build(&inst);
-        let target = 2;
-        let tau = (inst.hit_count_naive(target) + 3).min(inst.num_queries());
-        let direct = exact_min_cost_iq(&inst, &idx, target, tau).unwrap();
-        let (budget, via) =
-            exact_min_cost_via_max_hit(&inst, &idx, target, tau, direct.cost * 2.0 + 1.0, 40)
-                .unwrap();
-        assert!(via.hits_after >= tau);
-        assert!(
-            (budget - direct.cost).abs() < 1e-3 * (1.0 + direct.cost),
-            "reduction budget {budget} vs direct optimum {}",
-            direct.cost
-        );
     }
 
     #[test]

@@ -207,13 +207,7 @@ pub fn multi_max_hit_iq(
             .collect();
         // Nothing ends the search, so a step commits unless no candidate
         // is left.
-        let step = pick(
-            &mut cands,
-            |c| state.gain(c),
-            |_, _| false,
-            |c| Some(c.hit_bound),
-        );
-        let Some(Step::Commit(best)) = step else {
+        let Some(Step::Commit(best)) = pick(&mut cands, |c| state.gain(c), None) else {
             break;
         };
         if cands[best].hits == Some(0) {

@@ -5,9 +5,10 @@
 //! query the target does not yet hit, solve the single-constraint
 //! subproblem (Eqs. 13–14) for the cheapest strategy hitting *that* query,
 //! score the candidates with ESE, and commit the candidate with the best
-//! cost-per-hit ratio. Min-Cost stops at `τ` hits; Max-Hit stops when the
-//! budget `β` is exhausted (with a final fill pass over the remaining
-//! affordable candidates, Algorithm 4 lines 13–17). `candidates` and
+//! cost-per-hit ratio. Min-Cost stops at `τ` hits. Max-Hit follows §5.1's
+//! rule: each step drops the candidates the remaining budget `β` cannot
+//! cover and picks among the rest, until none is left (this replaces the
+//! fill pass of Algorithm 4 lines 13–17; DESIGN.md §8). `candidates` and
 //! `pick` are the only candidate generation and scoring in the crate:
 //! §5.1's multi-target searches ([`crate::multi`]) run on them too, with
 //! a union-gain score.
@@ -21,8 +22,8 @@
 //! on [`HitEvaluator::reach_rhs`]), a candidate of cost `c` hits at most
 //! `H + #{unhit q : c_q ≤ c}` queries. That bounds its ratio from below,
 //! and candidates are scored in ascending bound order until no unscored
-//! one can beat — or, once the best candidate ends the search (Min-Cost
-//! overshoot, Max-Hit budget), until none can turn it into a commit. Ties
+//! one can beat — or, once the best candidate overshoots Min-Cost's goal,
+//! until none can turn it into a commit. Ties
 //! are broken by candidate index, so the pick is the exhaustive scan's
 //! first strictly best ratio and every [`IqReport`] is bit-identical to
 //! scoring every candidate (property-tested against an exhaustive oracle
@@ -169,7 +170,6 @@ pub fn ese_evaluator<'a>(
 pub(crate) struct Candidate {
     /// Which target the strategy moves (always 0 for a single target).
     pub(crate) target: usize,
-    query: usize,
     pub(crate) strategy: Vector,
     pub(crate) cost_inc: f64,
     /// Certified upper bound on the candidate's score.
@@ -208,7 +208,6 @@ pub(crate) fn candidates<E: HitEvaluator>(
             {
                 cands.push(Candidate {
                     target,
-                    query: q,
                     strategy,
                     cost_inc,
                     hit_bound: 0,
@@ -269,10 +268,10 @@ fn score(c: &mut Candidate, eval: &mut impl FnMut(&Candidate) -> usize) -> usize
     #[cfg(feature = "debug-invariants")]
     assert!(
         h <= c.hit_bound,
-        "debug-invariants: candidate for target {} and query {} scores {h}, above \
+        "debug-invariants: candidate for target {} at cost {} scores {h}, above \
          its certified bound {}",
         c.target,
-        c.query,
+        c.cost_inc,
         c.hit_bound,
     );
     c.hits = Some(h);
@@ -283,8 +282,8 @@ fn score(c: &mut Candidate, eval: &mut impl FnMut(&Candidate) -> usize) -> usize
 pub(crate) enum Step {
     /// Commit candidate `i` and keep iterating.
     Commit(usize),
-    /// The best candidate ends the search: Min-Cost overshoots `τ`, or
-    /// Max-Hit's budget cannot cover it.
+    /// The best candidate scores above the overshoot cap: Min-Cost's
+    /// overshoot step (Algorithm 3 lines 12–13) ends the search.
     Finish,
 }
 
@@ -293,26 +292,27 @@ pub(crate) enum Step {
 /// would — while scoring (with `eval`) as few candidates as the bounds
 /// allow.
 ///
-/// `ends(c, score)` says whether `c` as the best candidate ends the
-/// search. While the current best ends it, only a candidate that could
-/// become a best that does not matters; `commit_hits(c)` bounds the score
-/// `c` can have as such a best (`None` when it always ends the search).
+/// A best scoring above `overshoot` ends the search (Min-Cost's goal;
+/// `None` when every best commits, as in Max-Hit). While the current best
+/// ends it, only a candidate that could become a best scoring at most
+/// `overshoot` matters.
 pub(crate) fn pick(
     cands: &mut [Candidate],
     mut eval: impl FnMut(&Candidate) -> usize,
-    ends: impl Fn(&Candidate, usize) -> bool,
-    commit_hits: impl Fn(&Candidate) -> Option<usize>,
+    overshoot: Option<usize>,
 ) -> Option<Step> {
+    let cap = overshoot.unwrap_or(usize::MAX);
     // A NaN cost breaks the ordering the bounds rely on: then every
     // candidate is scored, in candidate order.
     let exact = cands.iter().all(|c| !c.cost_inc.is_nan());
-    let floor = |c: &Candidate, max_hits: Option<usize>| match max_hits {
-        _ if !exact => f64::NEG_INFINITY,
-        Some(h) => ratio_floor(c.cost_inc, h),
-        None => f64::INFINITY,
+    let floor = |c: &Candidate, max_hits: usize| {
+        if exact {
+            ratio_floor(c.cost_inc, max_hits)
+        } else {
+            f64::NEG_INFINITY
+        }
     };
-    let any_floor: Vec<f64> = cands.iter().map(|c| floor(c, Some(c.hit_bound))).collect();
-    let commit_floor: Vec<f64> = cands.iter().map(|c| floor(c, commit_hits(c))).collect();
+    let any_floor: Vec<f64> = cands.iter().map(|c| floor(c, c.hit_bound)).collect();
     let mut order: Vec<usize> = (0..cands.len()).collect();
     // Stable: equal floors keep candidate order.
     order.sort_by(|&a, &b| any_floor[a].total_cmp(&any_floor[b]));
@@ -332,7 +332,8 @@ pub(crate) fn pick(
         if cands[i].hits.is_some() {
             continue;
         }
-        if best_ends && commit_floor[i] > best_ratio {
+        // As a best that commits, `i` scores at most `cap`.
+        if best_ends && floor(&cands[i], cands[i].hit_bound.min(cap)) > best_ratio {
             skipped_from.get_or_insert(pos - 1);
             continue;
         }
@@ -341,7 +342,7 @@ pub(crate) fn pick(
         if best.is_none_or(|(b, br)| r < br || (r == br && i < b)) {
             best = Some((i, r));
             let ended = best_ends;
-            best_ends = ends(&cands[i], h);
+            best_ends = h > cap;
             if ended && !best_ends {
                 if let Some(from) = skipped_from.take() {
                     pos = from;
@@ -368,12 +369,7 @@ pub(crate) fn min_cost_step(
     mut eval: impl FnMut(&Candidate) -> usize,
 ) -> Option<(usize, bool)> {
     // A best that commits scores at most `goal` (Algorithm 3 line 10).
-    match pick(
-        cands,
-        &mut eval,
-        |_, hits| hits > goal,
-        |c| Some(c.hit_bound.min(goal)),
-    )? {
+    match pick(cands, &mut eval, Some(goal))? {
         Step::Commit(best) => Some((best, false)),
         Step::Finish => {
             let mut by_cost: Vec<usize> = (0..cands.len()).collect();
@@ -476,7 +472,10 @@ pub fn max_hit_iq(
     run_max_hit(&mut ev, budget, cost_fn, bounds, opts)
 }
 
-/// Algorithm 4 over any [`HitEvaluator`] implementation.
+/// Algorithm 4 over any [`HitEvaluator`] implementation, with §5.1's
+/// budget rule: each step picks among the candidates the remaining budget
+/// covers, and the search ends when none is left. The budget is charged
+/// the sum of the committed steps' costs.
 pub fn run_max_hit<E: HitEvaluator>(
     ev: &mut E,
     budget: f64,
@@ -495,36 +494,16 @@ pub fn run_max_hit<E: HitEvaluator>(
         let rem = bounds.remaining(ev.applied());
         let mut cands = candidates(ev, 0, cost_fn, &rem, |q| ev.is_hit(q), ev.hit_count());
         evaluated += cands.len();
-        // Only a candidate the budget covers can be committed.
-        let fits = |c: &Candidate| spent + c.cost_inc <= budget;
-        let step = pick(
-            &mut cands,
-            |c| ev.evaluate(&c.strategy),
-            |c, _| !fits(c),
-            |c| fits(c).then_some(c.hit_bound),
-        );
-        match step {
-            None => break,
-            Some(Step::Commit(best)) => {
-                let before = ev.hit_count();
-                spent += cands[best].cost_inc;
-                ev.apply(&cands[best].strategy);
-                if stalled(&mut stalls, ev.hit_count() > before, opts.max_stalls) {
-                    break;
-                }
-            }
-            Some(Step::Finish) => {
-                // Budget cannot cover the best candidate: final fill pass
-                // over the rest, cheapest first (Algorithm 4 lines 13–17).
-                cands.sort_by(|a, b| a.cost_inc.total_cmp(&b.cost_inc));
-                for c in cands {
-                    if spent + c.cost_inc <= budget && !ev.is_hit(c.query) {
-                        spent += c.cost_inc;
-                        ev.apply(&c.strategy);
-                    }
-                }
-                break;
-            }
+        cands.retain(|c| spent + c.cost_inc <= budget);
+        // No step overshoots, so a step commits unless no candidate is left.
+        let Some(Step::Commit(best)) = pick(&mut cands, |c| ev.evaluate(&c.strategy), None) else {
+            break;
+        };
+        let before = ev.hit_count();
+        spent += cands[best].cost_inc;
+        ev.apply(&cands[best].strategy);
+        if stalled(&mut stalls, ev.hit_count() > before, opts.max_stalls) {
+            break;
         }
     }
 
@@ -840,7 +819,6 @@ mod tests {
         (0..cost.len())
             .map(|i| Candidate {
                 target: 0,
-                query: i,
                 strategy: Vector::from([i as f64]),
                 cost_inc: cost[i],
                 hit_bound: bound[i],
@@ -860,12 +838,7 @@ mod tests {
         // against 2/4) gets it scored first: the exhaustive rule still
         // keeps the first in candidate order.
         let mut cands = table(&[2.0, 1.0], &[4, 3]);
-        let step = pick(
-            &mut cands,
-            scorer(&[2, 1]),
-            |_, _| false,
-            |c| Some(c.hit_bound),
-        );
+        let step = pick(&mut cands, scorer(&[2, 1]), None);
         assert!(matches!(step, Some(Step::Commit(0))));
     }
 
@@ -878,12 +851,7 @@ mod tests {
         // exactly as scoring all three would decide.
         let tau = 2;
         let mut cands = table(&[1.0, 1.5, 0.32], &[10, 10, 2]);
-        let step = pick(
-            &mut cands,
-            scorer(&[5, 10, 2]),
-            |_, hits| hits > tau,
-            |c| Some(c.hit_bound.min(tau)),
-        );
+        let step = pick(&mut cands, scorer(&[5, 10, 2]), Some(tau));
         assert!(matches!(step, Some(Step::Finish)));
         assert!(cands.iter().all(|c| c.hits.is_some()));
     }

@@ -134,10 +134,13 @@ enum Goal {
     MaxHit(f64),
 }
 
-/// Algorithms 3 and 4 as printed, rebuilt from public parts: every unhit
-/// query's candidate is solved *and scored* before the step picks the
-/// first strictly best cost-per-hit ratio. The library's bound-pruned
-/// search must reproduce its report bit for bit.
+/// Algorithm 3 as printed and Algorithm 4 under §5.1's budget rule,
+/// rebuilt from public parts: every unhit query's candidate is solved, and
+/// every one the step can take is *scored*, before the step picks the
+/// first strictly best cost-per-hit ratio. Max-Hit first drops the
+/// candidates the remaining budget cannot cover, commits the best of the
+/// rest, and stops when none is left; it has no fill pass. The library's
+/// bound-pruned search must reproduce its report bit for bit.
 fn exhaustive_oracle<E: HitEvaluator>(
     ev: &mut E,
     goal: Goal,
@@ -157,8 +160,8 @@ fn exhaustive_oracle<E: HitEvaluator>(
         }
         iterations += 1;
         let rem = bounds.remaining(ev.applied());
-        // (query, strategy, cost, hits)
-        let mut cands: Vec<(usize, Vector, f64, usize)> = Vec::new();
+        // (strategy, cost, hits)
+        let mut cands: Vec<(Vector, f64, usize)> = Vec::new();
         for q in 0..ev.instance().num_queries() {
             if ev.is_hit(q) {
                 continue;
@@ -167,19 +170,22 @@ fn exhaustive_oracle<E: HitEvaluator>(
                 continue;
             };
             if let Some((s, c)) = cost_fn.min_cost_to_satisfy(ev.instance().weights(q), rhs, &rem) {
-                cands.push((q, s, c, 0));
+                cands.push((s, c, 0));
             }
         }
         evaluated += cands.len();
+        if let Goal::MaxHit(budget) = goal {
+            cands.retain(|c| spent + c.1 <= budget);
+        }
         for c in &mut cands {
-            c.3 = ev.evaluate(&c.1);
+            c.2 = ev.evaluate(&c.0);
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, c) in cands.iter().enumerate() {
-            let ratio = if c.3 == 0 {
+            let ratio = if c.2 == 0 {
                 f64::INFINITY
             } else {
-                c.2 / c.3 as f64
+                c.1 / c.2 as f64
             };
             if best.is_none_or(|(_, b)| ratio < b) {
                 best = Some((i, ratio));
@@ -188,44 +194,29 @@ fn exhaustive_oracle<E: HitEvaluator>(
         let Some((best, _)) = best else {
             break;
         };
-        let commit = match goal {
-            Goal::MinCost(tau) => cands[best].3 <= tau,
-            Goal::MaxHit(budget) => spent + cands[best].2 <= budget,
-        };
-        if commit {
-            let before = ev.hit_count();
-            spent += cands[best].2;
-            ev.apply(&cands[best].1);
-            if ev.hit_count() <= before {
-                stalls += 1;
-                if stalls >= opts.max_stalls {
-                    break;
-                }
-            } else {
-                stalls = 0;
-            }
-            continue;
-        }
-        match goal {
-            Goal::MinCost(tau) => {
+        // Only Min-Cost's overshoot ends the search mid-step.
+        if let Goal::MinCost(tau) = goal {
+            if cands[best].2 > tau {
                 let winner = cands
                     .iter()
-                    .filter(|c| c.3 >= tau)
-                    .min_by(|a, b| a.2.total_cmp(&b.2))
+                    .filter(|c| c.2 >= tau)
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("the best candidate exceeds tau");
-                ev.apply(&winner.1);
-            }
-            Goal::MaxHit(budget) => {
-                cands.sort_by(|a, b| a.2.total_cmp(&b.2));
-                for (q, s, c, _) in cands {
-                    if spent + c <= budget && !ev.is_hit(q) {
-                        spent += c;
-                        ev.apply(&s);
-                    }
-                }
+                ev.apply(&winner.0);
+                break;
             }
         }
-        break;
+        let before = ev.hit_count();
+        spent += cands[best].1;
+        ev.apply(&cands[best].0);
+        if ev.hit_count() <= before {
+            stalls += 1;
+            if stalls >= opts.max_stalls {
+                break;
+            }
+        } else {
+            stalls = 0;
+        }
     }
     let strategy = ev.applied().clone();
     IqReport {
